@@ -15,7 +15,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import groebner, lengths
+from . import groebner
 from .checks import (
     FAIL,
     INAPPLICABLE,
@@ -318,8 +318,7 @@ def _add_common(sp, session_file=True, ideal=False):
         sp.add_argument("--ideal", required=True, help="named ideal from the session")
     sp.add_argument("--order", choices=("grevlex", "lex", "grlex"), default=None, help="override the session's monomial order")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--spair-cap", type=int, default=None, help="S-pair generation cap")
-    sp.add_argument("--n-cap", type=int, default=None, help="local-colength stabilization cap")
+    sp.add_argument("--spair-cap", type=int, default=groebner.DEFAULT_SPAIR_CAP, help="S-pair generation cap")
     sp.add_argument("--jobs", type=int, default=1, help="parallelism bound (execution is sequential and deterministic)")
 
 
@@ -377,8 +376,7 @@ def build_arg_parser():
     sp.add_argument("--id", default=None)
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--spair-cap", type=int, default=None)
-    sp.add_argument("--n-cap", type=int, default=None)
+    sp.add_argument("--spair-cap", type=int, default=groebner.DEFAULT_SPAIR_CAP)
     sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(fn=_cmd_corpus)
 
@@ -391,13 +389,11 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT_ERROR if exc.code not in (0, None) else 0
-    if getattr(args, "jobs", 1) < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    if getattr(args, "spair_cap", None):
-        groebner.SPAIR_CAP = args.spair_cap
-    if getattr(args, "n_cap", None):
-        lengths.LOCAL_N_CAP = args.n_cap
+    for flag, value in (("--jobs", args.jobs), ("--spair-cap", args.spair_cap)):
+        if value < 1:
+            print("error: %s must be >= 1" % flag, file=sys.stderr)
+            return EXIT_INPUT_ERROR
+    token = groebner.SPAIR_CAP.set(args.spair_cap)
     try:
         return args.fn(args)
     except InputError as exc:
@@ -409,6 +405,8 @@ def main(argv=None) -> int:
     except CertificationError as exc:
         print("certification failure: %s" % exc, file=sys.stderr)
         return EXIT_CERTIFICATION
+    finally:
+        groebner.SPAIR_CAP.reset(token)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .checks import (
+    EHK_TOLERANCE,
     PASS,
     _jsonable,
     check_flatness,
@@ -26,7 +27,6 @@ from .hk import ehk_estimate, hk_function
 from .ideals import Ideal
 from .parser import parse_session
 
-EHK_TOL = Fraction(1, 20)
 SINGULAR_MARGIN = Fraction(1, 5)
 
 
@@ -129,7 +129,7 @@ def _run_cone(n):
                 "PAPER",
                 target,
                 est.estimate,
-                ok=abs(est.estimate - target) <= EHK_TOL,
+                ok=abs(est.estimate - target) <= EHK_TOLERANCE,
             ),
             _expect(
                 "ehk_estimate_detects_singularity",

@@ -7,6 +7,7 @@ generator ordering, so results are bit-reproducible.
 
 from __future__ import annotations
 
+import contextvars
 import heapq
 
 from .errors import InputError, ResourceLimitError
@@ -16,8 +17,8 @@ from .ring import PresentedRing
 
 DEFAULT_SPAIR_CAP = 10**6
 
-# Runtime-configurable cap (the CLI's --spair-cap writes here).
-SPAIR_CAP = DEFAULT_SPAIR_CAP
+# The S-pair cap for calls that pass none; the CLI sets it for one run.
+SPAIR_CAP = contextvars.ContextVar("SPAIR_CAP", default=DEFAULT_SPAIR_CAP)
 
 
 def normal_form(f: Polynomial, basis) -> Polynomial:
@@ -138,10 +139,10 @@ def groebner_basis(ring: PresentedRing, gens, spair_cap: int = None) -> Groebner
     """Reduced Groebner basis of (gens) + (ring relations).
 
     Raises ResourceLimitError once more than `spair_cap` S-pairs have been
-    generated (default: the module-level SPAIR_CAP).
+    generated (default: the current value of SPAIR_CAP).
     """
     if spair_cap is None:
-        spair_cap = SPAIR_CAP
+        spair_cap = SPAIR_CAP.get()
     gens = [g for g in gens if not g.is_zero()]
     for g in gens:
         if not ring.owns(g):

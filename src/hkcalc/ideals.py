@@ -24,9 +24,9 @@ class Ideal:
         self.generators = generators
         self._gb = None
 
-    def gb(self, spair_cap: int = None) -> GroebnerBasis:
+    def gb(self) -> GroebnerBasis:
         if self._gb is None:
-            self._gb = groebner_basis(self.ring, self.generators, spair_cap=spair_cap)
+            self._gb = groebner_basis(self.ring, self.generators)
         return self._gb
 
     def contains(self, f: Polynomial) -> bool:

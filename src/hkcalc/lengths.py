@@ -1,10 +1,12 @@
 """Lengths and multiplicities: Krull dimension, colengths, and the
 Hilbert-Samuel multiplicity of a parameter on a one-dimensional quotient.
 
-All lengths are computed over the localization at the origin.  The global
-(affine) colength counts standard monomials of the leading-term ideal; the
-local value is obtained by stabilizing against high powers of the maximal
-ideal, with a homogeneous fast path where both notions agree.
+The global (affine) colength counts standard monomials of the leading-term
+ideal.  The local colength, at the origin, is the global colength of the
+ideal with the pure powers x_i^c adjoined, c being the global colength:
+those powers lie in the ideal localized at the origin and remove every
+other point of the variety.  Homogeneous ideals skip that step, since both
+notions agree.
 """
 
 from __future__ import annotations
@@ -14,17 +16,11 @@ from dataclasses import dataclass
 
 from .errors import CertificationError, InputError
 from .ideals import Ideal, maximal_ideal
-from .orders import mono_divides
 from .poly import Polynomial
-from .ring import PresentedRing
 
-ENUMERATION_CELL_CAP = 4096
-DEFAULT_LOCAL_N_CAP = 512
-
-# Runtime-configurable cap (the CLI's --n-cap writes here).
-LOCAL_N_CAP = DEFAULT_LOCAL_N_CAP
-DEFAULT_HS_FLOOR = 3
-DEFAULT_HS_CAP = 64
+# Least certification floor and least ladder length for hilbert_samuel.
+HS_FLOOR = 3
+HS_CAP = 64
 
 
 class _Infinite:
@@ -69,124 +65,39 @@ def is_finite(value) -> bool:
 # -- staircase counting -------------------------------------------------------
 
 
-def _pure_bounds(monos, k):
-    """Per-variable minimum pure-power exponent, or None where absent."""
-    bounds = [None] * k
-    for m in monos:
-        support = [i for i in range(k) if m[i]]
-        if len(support) == 1:
-            (i,) = support
-            if bounds[i] is None or m[i] < bounds[i]:
-                bounds[i] = m[i]
-    return bounds
-
-
-def _count_two_vars(monos):
-    """Standard monomial count for a monomial ideal in two variables.
-
-    Sweep the first exponent; the staircase height at column a is the running
-    minimum second exponent over generators with first exponent <= a.  The
-    caller guarantees pure powers in both variables, so the sweep starts at
-    column 0 and terminates at height 0.
-    """
-    gens = sorted(set(monos))
-    total = 0
-    col = 0
-    height = None
-    i = 0
-    n = len(gens)
-    while i < n:
-        a = gens[i][0]
-        if a > col:
-            if height is None:
-                raise AssertionError("no generator with zero first exponent")
-            total += (a - col) * height
-            col = a
-        while i < n and gens[i][0] == a:
-            b = gens[i][1]
-            if height is None or b < height:
-                height = b
-            i += 1
-        if height == 0:
-            return total
-    raise AssertionError("no pure power in the first variable")
-
-
 def count_standard_monomials(lead_monomials, nvars: int):
     """Number of monomials outside the given monomial ideal, or INFINITE.
 
-    Counting splits recursively on one variable at a time, with memoization
-    on sub-staircases, a closed-box fast path, and plain enumeration only
-    below a small cell threshold.
+    The staircase is finite iff every variable has a pure power among the
+    generators.  It is sliced along the variable with the fewest distinct
+    exponents; each slab between consecutive exponents is a staircase in one
+    variable fewer, counted recursively with memoization on sub-staircases.
     """
-    monos = [tuple(m) for m in lead_monomials]
-    zero = (0,) * nvars
-    if zero in monos:
+    monos = {tuple(m) for m in lead_monomials}
+    if (0,) * nvars in monos:
         return 0
-    if not monos:
-        return 1 if nvars == 0 else INFINITE
-    bounds = _pure_bounds(monos, nvars)
-    if any(b is None for b in bounds):
+    if not all(any(m[i] == sum(m) for m in monos) for i in range(nvars)):
         return INFINITE
 
     memo = {}
 
     def rec(gens, k):
-        if k == 0:
-            return 0 if gens else 1
+        # gens holds a pure power of each of the k variables and no unit.
         if k == 1:
             return min(m[0] for m in gens)
-        key = (k, gens)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if (0,) * k in gens:
-            memo[key] = 0
-            return 0
-        bnds = _pure_bounds(gens, k)
-        if any(b is None for b in bnds):
-            # Slicing preserves pure powers of the remaining variables, so a
-            # finite top-level staircase never produces this.
-            raise AssertionError("sub-staircase lost a pure power bound")
-        if all(len([i for i in range(k) if m[i]]) == 1 for m in gens):
-            # Pure powers only: the staircase is a closed box.
-            value = 1
-            for b in bnds:
-                value *= b
-        elif k == 2:
-            value = _count_two_vars(gens)
-        else:
-            cells = 1
-            for b in bnds:
-                cells *= b
-            if cells <= ENUMERATION_CELL_CAP:
-                value = 0
-                for cell in itertools.product(*(range(b) for b in bnds)):
-                    if not any(mono_divides(m, cell) for m in gens):
-                        value += 1
-            else:
-                value = _split_count(gens, k, bnds, rec)
-        memo[key] = value
+        value = memo.get(gens)
+        if value is None:
+            j = min(range(k), key=lambda i: len({m[i] for m in gens}))
+            bound = min(m[j] for m in gens if m[j] == sum(m))
+            levels = sorted({m[j] for m in gens if m[j] < bound} | {0}) + [bound]
+            value = 0
+            for lo, hi in zip(levels, levels[1:]):
+                slab = {m[:j] + m[j + 1 :] for m in gens if m[j] <= lo}
+                value += (hi - lo) * rec(tuple(sorted(slab)), k - 1)
+            memo[gens] = value
         return value
 
-    def _split_count(gens, k, bnds, rec):
-        # Split on the variable with the fewest distinct exponents.
-        j = min(range(k), key=lambda i: len({m[i] for m in gens}))
-        bound = bnds[j]
-        by_level = sorted(gens, key=lambda m: m[j])
-        levels = sorted({m[j] for m in gens if m[j] < bound} | {0}) + [bound]
-        total = 0
-        current = []
-        idx = 0
-        for lo, hi in zip(levels, levels[1:]):
-            while idx < len(by_level) and by_level[idx][j] <= lo:
-                m = by_level[idx]
-                current.append(m[:j] + m[j + 1 :])
-                idx += 1
-            total += (hi - lo) * rec(tuple(sorted(set(current))), k - 1)
-        return total
-
-    return rec(tuple(sorted(set(monos))), nvars)
+    return rec(tuple(sorted(monos)), nvars) if nvars else 1
 
 
 # -- dimension ----------------------------------------------------------------
@@ -226,47 +137,27 @@ def _all_homogeneous(I: Ideal) -> bool:
     )
 
 
-def _m_power(ring: PresentedRing, n: int) -> Ideal:
-    gens = []
-    for exps in itertools.combinations_with_replacement(range(ring.nvars), n):
-        mono = [0] * ring.nvars
-        for i in exps:
-            mono[i] += 1
-        gens.append(ring.poly(((tuple(mono), 1),)))
-    return Ideal(ring, gens)
-
-
-def local_colength(I: Ideal, n_cap: int = None):
+def local_colength(I: Ideal):
     """lambda over the localization at the origin.
 
-    Homogeneous ideals agree with the global colength.  Otherwise the value
-    of colength(I + m^N) is stabilized over increasing N and certified once
-    two consecutive values agree with N past the global colength, which
-    bounds the nilpotency index of the local factor.
+    Homogeneous ideals agree with the global colength c.  Otherwise the
+    local factor at the origin has length l <= c, so m^l = 0 there and every
+    x_i^c lies in I localized at the origin.  Adjoining those powers keeps
+    the local length and leaves the origin as the only point, so the global
+    colength of the sum is exact.  If I already contains them, that is c.
     """
-    if n_cap is None:
-        n_cap = LOCAL_N_CAP
     c = colength(I)
     if c is INFINITE:
         return INFINITE
     if c == 0 or _all_homogeneous(I):
         return c
     ring = I.ring
-    # m-primary certificate: if every pure variable power x_i^c lies in the
-    # ideal then the quotient is supported at the origin alone and the global
-    # colength is already the local one.
     gb = I.gb()
-    if all(gb.contains(ring.var(i, c)) for i in range(ring.nvars)):
+    powers = [ring.var(i, c) for i in range(ring.nvars)]
+    missing = [f for f in powers if not gb.contains(f)]
+    if not missing:
         return c
-    prev = None
-    for n in range(1, n_cap + 1):
-        value = colength(I + _m_power(ring, n))
-        if prev is not None and value == prev and n > c:
-            return value
-        prev = value
-    raise CertificationError(
-        "local colength did not stabilize within N <= %d" % n_cap
-    )
+    return colength(I + Ideal(ring, missing))
 
 
 def quotient_length(I: Ideal, J: Ideal):
@@ -290,12 +181,7 @@ class MultiplicityResult:
     certified: bool
 
 
-def hilbert_samuel(
-    x: Polynomial,
-    J: Ideal,
-    floor: int = DEFAULT_HS_FLOOR,
-    cap: int = DEFAULT_HS_CAP,
-) -> MultiplicityResult:
+def hilbert_samuel(x: Polynomial, J: Ideal) -> MultiplicityResult:
     """e(x; R/J) for a parameter x on a one-dimensional quotient.
 
     Computed as the stabilized first difference of N -> lambda(R/(J, x^N)).
@@ -314,8 +200,8 @@ def hilbert_samuel(
     if dimension(J + Ideal(ring, [x])) != 0:
         raise InputError("the given element is not a parameter on R/J")
     basis_degree = max((g.degree() for g in J.gb().elements), default=1)
-    floor = max(floor, basis_degree)
-    cap = max(cap, floor + 8)
+    floor = max(HS_FLOOR, basis_degree)
+    cap = max(HS_CAP, floor + 8)
     lengths = []
     diffs = []
     for n in range(1, cap + 2):

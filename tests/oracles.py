@@ -4,8 +4,9 @@ These deliberately avoid the package's Groebner and staircase machinery.
 Colengths of homogeneous ideals come from per-degree rank computations:
 dense numpy elimination mod p in general, or a weighted union-find when
 every row has at most two nonzero entries (monomial generators, binomial
-relations).  Monomial staircases are also counted by brute-force
-enumeration.
+relations).  Local colengths of non-homogeneous ideals come from one rank
+computation modulo a power of the maximal ideal.  Monomial staircases are
+also counted by brute-force enumeration.
 """
 
 import itertools
@@ -68,6 +69,31 @@ def _rank_mod_p(rows, ncols, p):
         if rank == nrows:
             break
     return rank
+
+
+def local_colength_truncated(p, nvars, gens_terms, N):
+    """dim F_p[x]/(I + m^N), the local colength at the origin once N >= it.
+
+    gens_terms is an iterable of term lists [(mono, coeff), ...].  Modulo
+    m^N the ideal I + m^N is spanned by the products x^a * g with
+    |a| < N, truncated to degree < N; the quotient dimension is the number
+    of monomials of degree < N minus the rank of those rows.  A local ring
+    of length l has m^l = 0, so any N >= l (for example the global colength
+    plus one) gives the exact local colength.
+    """
+    monos = [m for d in range(N) for m in monomials_of_degree(nvars, d)]
+    index = {m: i for i, m in enumerate(monos)}
+    rows = []
+    for terms in gens_terms:
+        for shift in monos:
+            row = [0] * len(monos)
+            for mono, coeff in terms:
+                j = index.get(tuple(a + b for a, b in zip(mono, shift)))
+                if j is not None:
+                    row[j] = (row[j] + coeff) % p
+            if any(row):
+                rows.append(row)
+    return len(monos) - _rank_mod_p(rows, len(monos), p)
 
 
 def homogeneous_colength_dense(p, nvars, gens_terms, degree_cap=200):

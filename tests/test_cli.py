@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from hkcalc import cli, groebner, lengths
+from hkcalc import cli
 from hkcalc.checks import CheckReport
 
 QUADRIC = """\
@@ -16,14 +17,17 @@ prime P = y, z height 2
 param f = x
 """
 
-ONEVAR = "char 5\nvars x\nideal I = x^2 - x^3\n"
+# P is declared prime but is not: e(x; R/P^[3]) = 9 is not divisible by
+# e(x; R/P) = 2, so the associativity ratio of thm33 fails certification.
+NOT_PRIME = """\
+char 3
+vars x y z
+mod y^2 - z^3
+prime P = y^2 - x^3*y, y*z - x^2*y, y*z - x^3*z, z^2 - x^2*z height 1
+param f = x
+"""
 
-
-@pytest.fixture(autouse=True)
-def _restore_runtime_knobs():
-    yield
-    groebner.SPAIR_CAP = groebner.DEFAULT_SPAIR_CAP
-    lengths.LOCAL_N_CAP = lengths.DEFAULT_LOCAL_N_CAP
+HARD = "char 5\nvars x y z\nideal I = x^2 + y*z, y^3 - z^3, x*z + 2*y^2\n"
 
 
 @pytest.fixture()
@@ -137,6 +141,10 @@ def test_exit_code_input_errors(capsys, tmp_path, session_file):
     assert code == 2 and "unknown ideal" in err
     code, _, _ = _run(capsys, ["dim", "--in", session_file, "--ideal", "m", "--jobs", "0"])
     assert code == 2
+    code, _, err = _run(capsys, ["gb", "--in", session_file, "--ideal", "m", "--spair-cap", "0"])
+    assert code == 2 and "--spair-cap" in err
+    code, _, _ = _run(capsys, ["local-colength", "--in", session_file, "--ideal", "m", "--n-cap", "2"])
+    assert code == 2
     code, _, _ = _run(capsys, ["no-such-verb"])
     assert code == 2
 
@@ -160,23 +168,30 @@ def test_exit_code_check_failed(capsys, session_file, monkeypatch):
 
 def test_exit_code_resource_limit(capsys, tmp_path):
     path = tmp_path / "hard.hk"
-    path.write_text("char 5\nvars x y z\nideal I = x^2 + y*z, y^3 - z^3, x*z + 2*y^2\n")
+    path.write_text(HARD)
     code, _, err = _run(
         capsys, ["gb", "--in", str(path), "--ideal", "I", "--spair-cap", "2"]
     )
     assert code == 3 and "resource limit" in err
 
 
+def test_spair_cap_scoped_to_one_call(capsys, tmp_path):
+    path = tmp_path / "hard.hk"
+    path.write_text(HARD)
+    code, _, _ = _run(capsys, ["gb", "--in", str(path), "--ideal", "I", "--spair-cap", "2"])
+    assert code == 3
+    code, out, _ = _run(capsys, ["gb", "--in", str(path), "--ideal", "I"])
+    assert code == 0 and json.loads(out)["basis"]
+
+
 def test_exit_code_certification(capsys, tmp_path):
-    path = tmp_path / "onevar.hk"
-    path.write_text(ONEVAR)
+    path = tmp_path / "not_prime.hk"
+    path.write_text(NOT_PRIME)
     code, _, err = _run(
-        capsys, ["local-colength", "--in", str(path), "--ideal", "I", "--n-cap", "2"]
+        capsys, ["check", "thm33", "--in", str(path), "--prime", "P", "--param", "f", "--q", "3"]
     )
     assert code == 4 and "certification failure" in err
-    lengths.LOCAL_N_CAP = lengths.DEFAULT_LOCAL_N_CAP
-    code, out, _ = _run(capsys, ["local-colength", "--in", str(path), "--ideal", "I"])
-    assert code == 0 and json.loads(out)["local_colength"] == 2
+    assert "not divisible" in err
 
 
 def test_corpus_list_and_determinism(capsys):
@@ -194,3 +209,12 @@ def test_corpus_list_and_determinism(capsys):
     assert code == 2
     code, _, err = _run(capsys, ["corpus", "run"])
     assert code == 2
+
+
+def test_corpus_output_pinned_at_seed_42(capsys):
+    """The behavioural gate: corpus run --all --seed 42 is byte-for-byte fixed."""
+    code, out, _ = _run(capsys, ["corpus", "run", "--all", "--seed", "42"])
+    assert code == 0
+    data = out.encode("utf-8")
+    assert len(data) == 100210
+    assert hashlib.sha256(data).hexdigest().startswith("4eec81ab9d9b928f")

@@ -1,10 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from hkcalc import (
     INFINITE,
-    CertificationError,
     Ideal,
     InputError,
     colength,
@@ -17,7 +17,7 @@ from hkcalc import (
     quotient_length,
 )
 from helpers import poly_of, ring_of
-from oracles import staircase_enumeration_count
+from oracles import local_colength_truncated, staircase_enumeration_count
 
 
 def _ideal(ring, texts):
@@ -43,7 +43,7 @@ def test_count_standard_monomials_basics():
 def test_count_standard_monomials_vs_enumeration_random():
     rng = random.Random(101)
     for _ in range(100):
-        n = rng.randint(2, 4)
+        n = rng.randint(1, 5)
         bounds = tuple(rng.randint(1, 6) for _ in range(n))
         gens = [tuple(b if i == j else 0 for i in range(n)) for j, b in enumerate(bounds)]
         for _ in range(rng.randint(0, 4)):
@@ -96,10 +96,51 @@ def test_local_colength_mprimary_certificate_path():
     assert local_colength(I) == colength(I) == 8
 
 
-def test_local_colength_cap_raises():
-    ring = ring_of(5, ("x",))
-    with pytest.raises(CertificationError):
-        local_colength(_ideal(ring, ["x^2 - x"]), n_cap=1)
+def _random_zero_dim_ideal(rng, ring, degrees):
+    """x_i^(a_i) plus random terms of lower degree, and one random extra element.
+
+    The leading terms make the ideal zero-dimensional.  No constant terms, so
+    the origin lies on the variety, often beside other points; without
+    linear terms (half the time) it is a fat point.
+    """
+    n = ring.nvars
+    top = max(degrees) + 1
+    lowest = rng.randint(1, 2)
+    monos = [m for m in itertools.product(range(top + 1), repeat=n) if lowest <= sum(m) <= top]
+
+    def coeff():
+        return rng.randint(1, ring.field.p - 1)
+
+    gens = []
+    for i, a in enumerate(degrees):
+        lower = [m for m in monos if sum(m) < a]
+        terms = [(m, coeff()) for m in rng.sample(lower, min(3, len(lower)))]
+        terms.append((tuple(a if j == i else 0 for j in range(n)), 1))
+        gens.append(ring.poly(terms))
+    gens.append(ring.poly([(m, coeff()) for m in rng.sample(monos, 2)]))
+    return Ideal(ring, gens)
+
+
+def test_local_colength_vs_truncation_oracle():
+    """local_colength on random non-homogeneous ideals equals dim R/(I + m^(c+1))."""
+    rng = random.Random(202)
+    seen = set()
+    for trial in range(30):
+        if trial % 2:
+            ring = ring_of(7, ("x", "y", "z"))
+            degrees = [2, 2, 2]
+        else:
+            ring = ring_of(7, ("x", "y"))
+            degrees = [rng.randint(2, 4) for _ in range(2)]
+        I = _random_zero_dim_ideal(rng, ring, degrees)
+        c = colength(I)
+        local = local_colength(I)
+        gens_terms = [list(g.terms) for g in I.generators]
+        assert local == local_colength_truncated(7, ring.nvars, gens_terms, c + 1), I
+        seen.add((local == c, local > 1))
+    # Some samples have points away from the origin, and some a fat origin.
+    assert {True, False} <= {same for same, _ in seen}
+    assert any(fat for _, fat in seen)
 
 
 def test_quotient_length():
