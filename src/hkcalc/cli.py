@@ -319,7 +319,6 @@ def _add_common(sp, session_file=True, ideal=False):
     sp.add_argument("--order", choices=("grevlex", "lex", "grlex"), default=None, help="override the session's monomial order")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--spair-cap", type=int, default=groebner.DEFAULT_SPAIR_CAP, help="S-pair generation cap")
-    sp.add_argument("--jobs", type=int, default=1, help="parallelism bound (execution is sequential and deterministic)")
 
 
 def build_arg_parser():
@@ -377,7 +376,6 @@ def build_arg_parser():
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--spair-cap", type=int, default=groebner.DEFAULT_SPAIR_CAP)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(fn=_cmd_corpus)
 
     return ap
@@ -389,10 +387,9 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT_ERROR if exc.code not in (0, None) else 0
-    for flag, value in (("--jobs", args.jobs), ("--spair-cap", args.spair_cap)):
-        if value < 1:
-            print("error: %s must be >= 1" % flag, file=sys.stderr)
-            return EXIT_INPUT_ERROR
+    if args.spair_cap < 1:
+        print("error: --spair-cap must be >= 1", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     token = groebner.SPAIR_CAP.set(args.spair_cap)
     try:
         return args.fn(args)

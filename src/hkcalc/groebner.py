@@ -105,17 +105,6 @@ class GroebnerBasis:
         return "GroebnerBasis(%d elements)" % len(self.elements)
 
 
-def _minimal_monomial_basis(ring, gens):
-    """Reduced basis of a monomial ideal: the minimal monomial generators."""
-    monos = sorted({g.lm for g in gens}, key=lambda m: (sum(m), ring.order.key(m)))
-    kept = []
-    for m in monos:
-        if not any(mono_divides(k, m) for k in kept):
-            kept.append(m)
-    kept.sort(key=ring.order.key)
-    return GroebnerBasis(ring, [ring.poly(((m, 1),)) for m in kept])
-
-
 def _interreduce(ring, basis):
     """Minimalize by leading term, then tail-reduce each element."""
     key = ring.order.key
@@ -132,14 +121,12 @@ def _interreduce(ring, basis):
     return GroebnerBasis(ring, reduced)
 
 
-_GB_CACHE: dict = {}
-
-
 def groebner_basis(ring: PresentedRing, gens, spair_cap: int = None) -> GroebnerBasis:
-    """Reduced Groebner basis of (gens) + (ring relations).
+    """Reduced Groebner basis of (gens) + (ring relations), cached on the ring.
 
     Raises ResourceLimitError once more than `spair_cap` S-pairs have been
-    generated (default: the current value of SPAIR_CAP).
+    generated (default: the current value of SPAIR_CAP).  A cached basis
+    generates no S-pairs, so the cap does not apply to it.
     """
     if spair_cap is None:
         spair_cap = SPAIR_CAP.get()
@@ -147,31 +134,22 @@ def groebner_basis(ring: PresentedRing, gens, spair_cap: int = None) -> Groebner
     for g in gens:
         if not ring.owns(g):
             raise InputError("generator lives in a different ring")
-    gens = gens + list(ring.relations)
-    cache_key = (
-        ring.field.p,
-        ring.order.spec(),
-        ring.variables,
-        tuple(r.terms for r in ring.relations),
-        tuple(sorted(g.terms for g in gens)),
-        spair_cap,
-    )
-    hit = _GB_CACHE.get(cache_key)
+    cache_key = tuple(sorted(g.terms for g in gens))
+    hit = ring._bases.get(cache_key)
     if hit is not None:
         return hit
-
-    if not gens:
-        result = GroebnerBasis(ring, ())
-        _GB_CACHE[cache_key] = result
-        return result
-
+    gens = gens + list(ring.relations)
     if all(g.is_monomial() for g in gens):
         # Monomial ideals are their own Groebner basis; skip pair processing.
-        result = _minimal_monomial_basis(ring, gens)
-        _GB_CACHE[cache_key] = result
-        return result
+        result = _interreduce(ring, gens)
+    else:
+        result = _interreduce(ring, _buchberger(ring.order.key, gens, spair_cap))
+    ring._bases[cache_key] = result
+    return result
 
-    key = ring.order.key
+
+def _buchberger(key, gens, spair_cap):
+    """A Groebner basis of (gens), neither minimal nor reduced."""
     G = []
     lms = []
     heap = []
@@ -199,11 +177,6 @@ def groebner_basis(ring: PresentedRing, gens, spair_cap: int = None) -> Groebner
         if not h.is_zero():
             add(h)
 
-    if not G:
-        result = GroebnerBasis(ring, ())
-        _GB_CACHE[cache_key] = result
-        return result
-
     while heap:
         _, i, j, lcm = heapq.heappop(heap)
         pending.discard((i, j))
@@ -228,6 +201,4 @@ def groebner_basis(ring: PresentedRing, gens, spair_cap: int = None) -> Groebner
         if not h.is_zero():
             add(h)
 
-    result = _interreduce(ring, G)
-    _GB_CACHE[cache_key] = result
-    return result
+    return G

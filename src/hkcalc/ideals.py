@@ -1,7 +1,7 @@
 """Ideals with value semantics: sums, products, powers, Frobenius bracket powers.
 
 Every constructor returns a fresh Ideal; the reduced Groebner basis (with
-the ring's relations adjoined) is computed lazily and cached per value.
+the ring's relations adjoined) is computed lazily and cached on the ring.
 """
 
 from __future__ import annotations

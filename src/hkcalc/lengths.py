@@ -26,21 +26,8 @@ HS_CAP = 64
 class _Infinite:
     """Distinguished infinite length (non-Artinian quotient)."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "INFINITE"
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("INFINITE-length")
 
     def __gt__(self, other):
         return other is not self

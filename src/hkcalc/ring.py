@@ -15,7 +15,7 @@ MAX_VARS = 10
 
 
 class PresentedRing:
-    __slots__ = ("field", "variables", "order", "relations", "_dim")
+    __slots__ = ("field", "variables", "order", "relations", "_dim", "_bases")
 
     def __init__(self, field: PrimeField, variables, order: MonomialOrder, relations=()):
         variables = tuple(variables)
@@ -40,6 +40,7 @@ class PresentedRing:
         self.order = order
         self.relations = relations
         self._dim = None
+        self._bases = {}  # sorted generator terms -> reduced GroebnerBasis
 
     @property
     def nvars(self) -> int:
@@ -81,13 +82,6 @@ class PresentedRing:
 
             self._dim = dimension(Ideal(self, ()))
         return self._dim
-
-    def with_order(self, order: MonomialOrder) -> "PresentedRing":
-        """The same presentation under a different monomial order."""
-        rels = tuple(
-            Polynomial(self.field, order, self.nvars, r.terms) for r in self.relations
-        )
-        return PresentedRing(self.field, self.variables, order, rels)
 
     def __eq__(self, other) -> bool:
         return (

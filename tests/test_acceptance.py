@@ -6,6 +6,7 @@ exact rationals: 1/20 for the limit-estimate comparisons and a 1/5 margin
 for singularity detection.
 """
 
+import functools
 import random
 from fractions import Fraction
 
@@ -32,8 +33,10 @@ def _report(name, ok):
     assert ok, name
 
 
-def _cone(p, n):
-    return ring_of(p, ("x", "y", "z"), relations=("x*y - z^%d" % n,))
+@functools.lru_cache(maxsize=None)
+def _cone(p, n, kind="grevlex"):
+    # Shared across tests so that each cone's bases are computed once.
+    return ring_of(p, ("x", "y", "z"), kind=kind, relations=("x*y - z^%d" % n,))
 
 
 def _cone_oracle(p, n, q):
@@ -173,23 +176,25 @@ def test_acceptance_8_property_suites():
     ok = True
     # (a) reduced-GB canonicality under permutation: covered with 100 shuffles
     # in test_groebner; repeat a 10-shuffle spot check here on the cone.
-    from hkcalc import groebner, groebner_basis
+    # Each shuffle gets a fresh ring, so no basis comes from a cache.
+    from hkcalc import groebner_basis
 
-    cone = _cone(5, 2)
+    def fresh_cone():
+        return ring_of(5, ("x", "y", "z"), relations=("x*y - z^2",))
+
+    cone = fresh_cone()
     gens = [poly_of(cone, t) for t in ("x^5", "y^5", "z^5", "x*z^3 - y^2*z")]
-    groebner._GB_CACHE.clear()
     reference = groebner_basis(cone, gens)
     rng = random.Random(8)
     for _ in range(10):
         shuffled = list(gens)
         rng.shuffle(shuffled)
-        groebner._GB_CACHE.clear()
-        ok = ok and groebner_basis(cone, shuffled) == reference
+        ok = ok and groebner_basis(fresh_cone(), shuffled) == reference
     # (b) colength order-invariance across all three orders
     for build in (
         lambda kind: maximal_ideal(ring_of(5, ("x", "y"), kind=kind)).power(3),
-        lambda kind: maximal_ideal(_cone_with_order(5, 2, kind)).bracket_power(5),
-        lambda kind: maximal_ideal(_cone_with_order(5, 3, kind)).bracket_power(5),
+        lambda kind: maximal_ideal(_cone(5, 2, kind)).bracket_power(5),
+        lambda kind: maximal_ideal(_cone(5, 3, kind)).bracket_power(5),
         lambda kind: maximal_ideal(ring_of(3, ("x", "y", "z"), kind=kind)).bracket_power(9),
     ):
         values = {local_colength(build(kind)) for kind in ("grevlex", "lex", "grlex")}
@@ -213,7 +218,3 @@ def test_acceptance_8_property_suites():
     I = Ideal(cone, [poly_of(cone, "x + y"), poly_of(cone, "z^2")])
     ok = ok and I.bracket_power(5).bracket_power(5).same_ideal(I.bracket_power(25))
     _report("8 property suites: canonicality, order-invariance, oracle, composition", ok)
-
-
-def _cone_with_order(p, n, kind):
-    return ring_of(p, ("x", "y", "z"), kind=kind, relations=("x*y - z^%d" % n,))

@@ -139,7 +139,7 @@ def test_exit_code_input_errors(capsys, tmp_path, session_file):
     assert code == 2 and "prime" in err
     code, _, err = _run(capsys, ["dim", "--in", session_file, "--ideal", "missing"])
     assert code == 2 and "unknown ideal" in err
-    code, _, _ = _run(capsys, ["dim", "--in", session_file, "--ideal", "m", "--jobs", "0"])
+    code, _, _ = _run(capsys, ["dim", "--in", session_file, "--ideal", "m", "--jobs", "1"])
     assert code == 2
     code, _, err = _run(capsys, ["gb", "--in", session_file, "--ideal", "m", "--spair-cap", "0"])
     assert code == 2 and "--spair-cap" in err

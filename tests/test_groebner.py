@@ -3,7 +3,6 @@ import random
 import pytest
 
 from hkcalc import InputError, ResourceLimitError, groebner_basis, normal_form, s_polynomial
-from hkcalc import groebner
 from helpers import poly_of, random_poly, ring_of
 
 
@@ -72,14 +71,24 @@ def test_reduced_basis_is_canonical_under_shuffles():
         poly_of(ring, t)
         for t in ("x^2 + y*z", "y^3 - z^3", "x*z + 2*y^2", "z^4", "x*y^2 - z^2")
     ]
-    groebner._GB_CACHE.clear()
     reference = groebner_basis(ring, gens)
     rng = random.Random(31)
     for _ in range(100):
         shuffled = list(gens)
         rng.shuffle(shuffled)
-        groebner._GB_CACHE.clear()  # force a fresh run each time
-        assert groebner_basis(ring, shuffled) == reference
+        # A fresh ring has no cached bases, so every shuffle runs Buchberger.
+        assert groebner_basis(ring_of(5, ("x", "y", "z")), shuffled) == reference
+
+
+def test_bases_cached_per_ring():
+    texts = ["x^2 + y*z", "y^3 - z^3", "x*z + 2*y^2", "z^4"]
+    ring = ring_of(5, ("x", "y", "z"))
+    basis = _gb(ring, texts)
+    assert _gb(ring, texts[::-1]) is basis
+    assert _gb(ring, texts, spair_cap=2) is basis  # cached: no S-pairs made
+    other = ring_of(5, ("x", "y", "z"))
+    again = _gb(other, texts)
+    assert again is not basis and again == basis
 
 
 def test_relations_are_adjoined():
