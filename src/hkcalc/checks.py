@@ -168,22 +168,16 @@ def check_lemma21(I: Ideal, J: Ideal, q_list) -> CheckReport:
     )
 
 
-def check_thm23(
-    J: Ideal,
-    x: Polynomial,
-    minimal_primes,
-    e_max: int,
-    tolerance: Fraction = EHK_TOLERANCE,
-) -> CheckReport:
-    """e_HK(J + (x)) >= lambda(R/(J, x)) up to the printed estimate tolerance."""
+def check_thm23(J: Ideal, x: Polynomial, minimal_primes, e_max: int) -> CheckReport:
+    """e_HK(J + (x)) >= lambda(R/(J, x)) up to EHK_TOLERANCE."""
     ring = J.ring
     inputs = {
         "ring": repr(ring),
         "ideal_j": repr(J),
-        "param": x.render(ring.variables),
+        "param": x.render(),
         "primes": [repr(P) for P in minimal_primes],
         "e_max": e_max,
-        "tolerance": str(tolerance),
+        "tolerance": str(EHK_TOLERANCE),
     }
     if dimension(J) != 1:
         return CheckReport(
@@ -221,12 +215,12 @@ def check_thm23(
         "estimate_gap": est.gap,
         "lambda_R_mod_I": lam,
     }
-    if est.estimate >= lam - tolerance:
+    if est.estimate >= lam - EHK_TOLERANCE:
         verdict = PASS
-        detail = "estimate %s >= lambda %d - %s" % (est.estimate, lam, tolerance)
+        detail = "estimate %s >= lambda %d - %s" % (est.estimate, lam, EHK_TOLERANCE)
     else:
         verdict = FAIL
-        detail = "violated: estimate %s < lambda %d - %s" % (est.estimate, lam, tolerance)
+        detail = "violated: estimate %s < lambda %d - %s" % (est.estimate, lam, EHK_TOLERANCE)
     return CheckReport("thm23", inputs, quantities, verdict, detail)
 
 
@@ -239,7 +233,7 @@ def check_thm33(P: Ideal, x: Polynomial, q_list) -> CheckReport:
     inputs = {
         "ring": repr(ring),
         "prime": repr(P),
-        "param": x.render(ring.variables),
+        "param": x.render(),
         "q": [int(q) for q in q_list],
     }
     if dimension(P) != 1:

@@ -124,8 +124,7 @@ def _cmd_gb(args):
     ring = _ring(session, args)
     ideal = session.ideal(args.ideal, ring)
     basis = ideal.gb()
-    names = ring.variables
-    polys = [g.render(names) for g in basis.elements]
+    polys = [g.render() for g in basis.elements]
     if args.format == "csv":
         _emit_csv(("index", "polynomial"), list(enumerate(polys)))
     else:

@@ -225,10 +225,7 @@ def _run_flatness_random(fixture, seed):
     rng = random.Random(seed)
     ideals = [_random_monomial_mprimary(ring, rng) for _ in range(20)]
     for gens in _NONMONOMIAL_GENS:
-        polys = [
-            parse_polynomial(g, 0, 0, ring.field, ring.order, ring.variables) for g in gens
-        ]
-        ideals.append(Ideal(ring, polys))
+        ideals.append(Ideal(ring, [parse_polynomial(g, 0, 0, ring) for g in gens]))
     checks = []
     for I in ideals:
         for q in (5, 25):

@@ -17,7 +17,7 @@ from .ring import PresentedRing
 
 DEFAULT_SPAIR_CAP = 10**6
 
-# The S-pair cap for calls that pass none; the CLI sets it for one run.
+# The S-pair cap of groebner_basis; the CLI sets it for one run.
 SPAIR_CAP = contextvars.ContextVar("SPAIR_CAP", default=DEFAULT_SPAIR_CAP)
 
 
@@ -28,12 +28,15 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     given fixed order) whose leading term divides it, largest terms first.
     The remainder has no term divisible by any leading term of the basis.
     """
-    divisors = [(g.lm, g.field.inv(g.lc), g.terms) for g in basis if not g.is_zero()]
+    ring = f.ring
+    divisors = []
     for g in basis:
         if not g.is_zero():
-            f._check(g)
-    p = f.field.p
-    key = f.order.key
+            if g.ring is not ring:
+                f._check(g)
+            divisors.append((g.lm, ring.field.inv(g.lc), g.terms))
+    p = ring.field.p
+    key = ring.order.key
     work = dict(f.terms)
     out = {}
     while work:
@@ -55,13 +58,13 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
                 break
         else:
             out[m] = work.pop(m)
-    return Polynomial(f.field, f.order, f.nvars, out.items())
+    return Polynomial(ring, out.items())
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """S(f, g) for the pair's critical lcm; operands need not be monic."""
     lcm = mono_lcm(f.lm, g.lm)
-    p = f.field.p
+    p = f.ring.field.p
     a = f.mul_term(mono_div(lcm, f.lm), g.lc % p)
     b = g.mul_term(mono_div(lcm, g.lm), f.lc % p)
     return a - b
@@ -105,31 +108,33 @@ class GroebnerBasis:
         return "GroebnerBasis(%d elements)" % len(self.elements)
 
 
-def _interreduce(ring, basis):
-    """Minimalize by leading term, then tail-reduce each element."""
-    key = ring.order.key
-    basis = sorted(basis, key=lambda g: key(g.lm))
+def _minimal(key, basis):
+    """Elements whose leading term no smaller element's divides, ascending."""
     minimal = []
-    for g in basis:
+    for g in sorted(basis, key=lambda g: key(g.lm)):
         if not any(mono_divides(h.lm, g.lm) for h in minimal):
             minimal.append(g)
-    reduced = list(minimal)
-    for i, g in enumerate(minimal):
+    return minimal
+
+
+def _interreduce(ring, basis):
+    """Minimalize by leading term, then tail-reduce each element.
+
+    Tail reduction keeps every leading term, so the result stays sorted."""
+    reduced = _minimal(ring.order.key, basis)
+    for i, g in enumerate(reduced):
         others = reduced[:i] + reduced[i + 1 :]
         reduced[i] = normal_form(g, others).monic() if others else g.monic()
-    reduced.sort(key=lambda g: key(g.lm))
     return GroebnerBasis(ring, reduced)
 
 
-def groebner_basis(ring: PresentedRing, gens, spair_cap: int = None) -> GroebnerBasis:
+def groebner_basis(ring: PresentedRing, gens) -> GroebnerBasis:
     """Reduced Groebner basis of (gens) + (ring relations), cached on the ring.
 
-    Raises ResourceLimitError once more than `spair_cap` S-pairs have been
-    generated (default: the current value of SPAIR_CAP).  A cached basis
-    generates no S-pairs, so the cap does not apply to it.
+    Raises ResourceLimitError once more than SPAIR_CAP S-pairs have been
+    generated.  A cached basis generates no S-pairs, so the cap does not
+    apply to it.
     """
-    if spair_cap is None:
-        spair_cap = SPAIR_CAP.get()
     gens = [g for g in gens if not g.is_zero()]
     for g in gens:
         if not ring.owns(g):
@@ -139,17 +144,20 @@ def groebner_basis(ring: PresentedRing, gens, spair_cap: int = None) -> Groebner
     if hit is not None:
         return hit
     gens = gens + list(ring.relations)
+    key = ring.order.key
     if all(g.is_monomial() for g in gens):
-        # Monomial ideals are their own Groebner basis; skip pair processing.
-        result = _interreduce(ring, gens)
+        # The minimal generators of a monomial ideal, made monic, are its
+        # reduced basis: no tail can be reduced.
+        result = GroebnerBasis(ring, [g.monic() for g in _minimal(key, gens)])
     else:
-        result = _interreduce(ring, _buchberger(ring.order.key, gens, spair_cap))
+        result = _interreduce(ring, _buchberger(key, gens))
     ring._bases[cache_key] = result
     return result
 
 
-def _buchberger(key, gens, spair_cap):
+def _buchberger(key, gens):
     """A Groebner basis of (gens), neither minimal nor reduced."""
+    spair_cap = SPAIR_CAP.get()
     G = []
     lms = []
     heap = []

@@ -87,8 +87,7 @@ class Ideal:
         return self.gb() == other.gb()
 
     def __repr__(self) -> str:
-        names = self.ring.variables
-        return "Ideal(%s)" % ", ".join(g.render(names) for g in self.generators)
+        return "Ideal(%s)" % ", ".join(g.render() for g in self.generators)
 
 
 def maximal_ideal(ring: PresentedRing) -> Ideal:

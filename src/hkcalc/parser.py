@@ -35,11 +35,11 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()]))")
 class _PolyParser:
     """Recursive-descent parser for the polynomial grammar."""
 
-    def __init__(self, text: str, line: int, col0: int, ring_ctx):
+    def __init__(self, text: str, line: int, col0: int, ring: PresentedRing):
         self.text = text
         self.line = line
         self.col0 = col0
-        self.field, self.order, self.names = ring_ctx
+        self.ring = ring
         self.tokens = []
         pos = 0
         while pos < len(text):
@@ -119,15 +119,12 @@ class _PolyParser:
 
     def _atom(self) -> Polynomial:
         kind, value, col = self._next()
-        nvars = len(self.names)
         if kind == "int":
-            return Polynomial.constant(self.field, self.order, nvars, int(value))
+            return self.ring.constant(int(value))
         if kind == "name":
-            try:
-                idx = self.names.index(value)
-            except ValueError:
+            if value not in self.ring.variables:
                 self._fail(col, "unknown variable %r" % value)
-            return Polynomial.variable(self.field, self.order, nvars, idx)
+            return self.ring.var(value)
         if kind == "op" and value == "(":
             poly = self._expr()
             kind, value, col = self._next()
@@ -139,8 +136,8 @@ class _PolyParser:
         self._fail(col, "unexpected token %r" % value)
 
 
-def parse_polynomial(text, line, col0, field, order, names) -> Polynomial:
-    return _PolyParser(text, line, col0, (field, order, tuple(names))).parse()
+def parse_polynomial(text, line, col0, ring: PresentedRing) -> Polynomial:
+    return _PolyParser(text, line, col0, ring).parse()
 
 
 @dataclass
@@ -150,17 +147,14 @@ class SessionInput:
     p: int
     variables: tuple
     order_kind: str
-    relations: tuple  # of Polynomial
+    relations: tuple  # of Polynomial, all in one relation-free ring
     ideals: dict = dc_field(default_factory=dict)  # name -> tuple of Polynomial
     primes: dict = dc_field(default_factory=dict)  # name -> (gens tuple, declared height)
     params: dict = dc_field(default_factory=dict)  # name -> Polynomial
 
     def build_ring(self, order_kind=None) -> PresentedRing:
-        kind = order_kind or self.order_kind
-        field = PrimeField(self.p)
-        order = MonomialOrder(kind, len(self.variables))
-        rels = [Polynomial(field, order, len(self.variables), r.terms) for r in self.relations]
-        return PresentedRing(field, self.variables, order, rels)
+        order = MonomialOrder(order_kind or self.order_kind, len(self.variables))
+        return PresentedRing(PrimeField(self.p), self.variables, order, self.relations)
 
     def _rebuild(self, polys, ring):
         return [ring.poly(g.terms) for g in polys]
@@ -188,18 +182,19 @@ class SessionInput:
 
     def to_text(self) -> str:
         """Canonical DSL rendering; reparsing yields an identical session."""
-        names = self.variables
-        out = ["char %d" % self.p, "vars %s" % " ".join(names), "order %s" % self.order_kind]
+        out = [
+            "char %d" % self.p,
+            "vars %s" % " ".join(self.variables),
+            "order %s" % self.order_kind,
+        ]
         for r in self.relations:
-            out.append("mod %s" % r.render(names))
+            out.append("mod %s" % r.render())
         for name, gens in self.ideals.items():
-            out.append("ideal %s = %s" % (name, ", ".join(g.render(names) for g in gens)))
+            out.append("ideal %s = %s" % (name, ", ".join(g.render() for g in gens)))
         for name, (gens, h) in self.primes.items():
-            out.append(
-                "prime %s = %s height %d" % (name, ", ".join(g.render(names) for g in gens), h)
-            )
+            out.append("prime %s = %s height %d" % (name, ", ".join(g.render() for g in gens), h))
         for name, g in self.params.items():
-            out.append("param %s = %s" % (name, g.render(names)))
+            out.append("param %s = %s" % (name, g.render()))
         return "\n".join(out) + "\n"
 
 
@@ -213,6 +208,7 @@ def parse_session(text: str) -> SessionInput:
     variables = None
     order_kind = "grevlex"
     field = None
+    ring = None  # relation-free; built at the first polynomial
     relations = []
     ideals = {}
     primes = {}
@@ -225,11 +221,11 @@ def parse_session(text: str) -> SessionInput:
         if variables is None:
             raise InputError("line %d: 'vars' must be declared before polynomials" % lineno)
 
-    def order():
-        return MonomialOrder(order_kind, len(variables))
-
     def parse_poly(chunk, lineno, col0):
-        return parse_polynomial(chunk, lineno, col0, field, order(), variables)
+        nonlocal ring
+        if ring is None:
+            ring = PresentedRing(field, variables, MonomialOrder(order_kind, len(variables)))
+        return parse_polynomial(chunk, lineno, col0, ring)
 
     def parse_gen_list(rhs, lineno, col0):
         gens = []

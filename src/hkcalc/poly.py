@@ -1,15 +1,16 @@
-"""Sparse multivariate polynomials over F_p with a fixed monomial order.
+"""Sparse multivariate polynomials over F_p, each belonging to one ring.
 
-Terms are stored as a tuple of (monomial, coefficient) pairs, strictly
-descending in the ambient order, so the leading term is terms[0].
-Polynomials are immutable; all operations return new values.
+A polynomial holds the PresentedRing it was built in, which supplies the
+field, the variables and the monomial order.  Terms are stored as a tuple
+of (monomial, coefficient) pairs, strictly descending in the ring's order,
+so the leading term is terms[0].  Polynomials are immutable; all
+operations return new values.
 """
 
 from __future__ import annotations
 
 from .errors import InputError
-from .field import PrimeField
-from .orders import MonomialOrder, mono_mul, mono_pow
+from .orders import mono_mul, mono_pow
 
 
 def is_power_of(q: int, p: int) -> bool:
@@ -22,16 +23,17 @@ def is_power_of(q: int, p: int) -> bool:
 
 
 class Polynomial:
-    __slots__ = ("field", "order", "nvars", "terms")
+    __slots__ = ("ring", "terms")
 
-    def __init__(self, field: PrimeField, order: MonomialOrder, nvars: int, terms):
+    def __init__(self, ring, terms):
         """Build from an iterable of (monomial, coefficient) pairs.
 
         Coefficients are reduced mod p, like monomials are merged, zero
         terms dropped, and the result sorted descending.
         """
         acc = {}
-        p = field.p
+        p = ring.field.p
+        nvars = ring.nvars
         for mono, coeff in terms:
             if len(mono) != nvars:
                 raise InputError("monomial arity %d != variable count %d" % (len(mono), nvars))
@@ -40,29 +42,9 @@ class Polynomial:
                 acc[mono] = c
             elif mono in acc:
                 del acc[mono]
-        key = order.key
-        self.field = field
-        self.order = order
-        self.nvars = nvars
+        key = ring.order.key
+        self.ring = ring
         self.terms = tuple(sorted(acc.items(), key=lambda t: key(t[0]), reverse=True))
-
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def zero(cls, field, order, nvars):
-        return cls(field, order, nvars, ())
-
-    @classmethod
-    def constant(cls, field, order, nvars, c):
-        return cls(field, order, nvars, (((0,) * nvars, c),))
-
-    @classmethod
-    def variable(cls, field, order, nvars, i, exp=1):
-        mono = tuple(exp if j == i else 0 for j in range(nvars))
-        return cls(field, order, nvars, ((mono, 1),))
-
-    def _make(self, mapping):
-        return Polynomial(self.field, self.order, self.nvars, mapping.items())
 
     # -- predicates and accessors ---------------------------------------------
 
@@ -73,7 +55,7 @@ class Polynomial:
         return not self.terms or (len(self.terms) == 1 and sum(self.terms[0][0]) == 0)
 
     def constant_term(self) -> int:
-        zero = (0,) * self.nvars
+        zero = (0,) * self.ring.nvars
         for mono, c in self.terms:
             if mono == zero:
                 return c
@@ -103,61 +85,50 @@ class Polynomial:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def compatible(self, other: "Polynomial") -> bool:
-        return (
-            self.field.p == other.field.p
-            and self.order == other.order
-            and self.nvars == other.nvars
-        )
-
     def _check(self, other):
-        if not isinstance(other, Polynomial) or not self.compatible(other):
+        if not isinstance(other, Polynomial) or not self.ring.owns(other):
             raise InputError("operands live in different rings")
 
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
         self._check(other)
-        return Polynomial(self.field, self.order, self.nvars, self.terms + other.terms)
+        return Polynomial(self.ring, self.terms + other.terms)
 
     def __sub__(self, other):
         self._check(other)
-        p = self.field.p
+        p = self.ring.field.p
         neg = tuple((m, p - c) for m, c in other.terms)
-        return Polynomial(self.field, self.order, self.nvars, self.terms + neg)
+        return Polynomial(self.ring, self.terms + neg)
 
     def __neg__(self):
-        p = self.field.p
-        return Polynomial(self.field, self.order, self.nvars, tuple((m, p - c) for m, c in self.terms))
+        p = self.ring.field.p
+        return Polynomial(self.ring, tuple((m, p - c) for m, c in self.terms))
 
     def __mul__(self, other):
         self._check(other)
-        p = self.field.p
+        p = self.ring.field.p
         acc = {}
         for mu, cu in self.terms:
             for mv, cv in other.terms:
                 m = mono_mul(mu, mv)
                 acc[m] = (acc.get(m, 0) + cu * cv) % p
-        return self._make(acc)
+        return Polynomial(self.ring, acc.items())
 
     def scale(self, c: int):
-        c %= self.field.p
-        return Polynomial(self.field, self.order, self.nvars, tuple((m, co * c) for m, co in self.terms))
+        c %= self.ring.field.p
+        return Polynomial(self.ring, tuple((m, co * c) for m, co in self.terms))
 
     def mul_term(self, mono, coeff):
         """Multiply by the single term coeff * x^mono."""
-        p = self.field.p
-        return Polynomial(
-            self.field,
-            self.order,
-            self.nvars,
-            tuple((mono_mul(m, mono), c * coeff % p) for m, c in self.terms),
-        )
+        p = self.ring.field.p
+        terms = tuple((mono_mul(m, mono), c * coeff % p) for m, c in self.terms)
+        return Polynomial(self.ring, terms)
 
     def __pow__(self, k: int):
         if k < 0:
             raise InputError("negative polynomial power")
-        result = Polynomial.constant(self.field, self.order, self.nvars, 1)
+        result = self.ring.one()
         base = self
         while k:
             if k & 1:
@@ -169,7 +140,7 @@ class Polynomial:
     def monic(self):
         if self.is_zero():
             return self
-        return self.scale(self.field.inv(self.lc))
+        return self.scale(self.ring.field.inv(self.lc))
 
     def frobenius(self, q: int):
         """f^q for q a power of p, by exponent scaling.
@@ -177,31 +148,30 @@ class Polynomial:
         Valid because the q-th power map is additive in characteristic p and
         fixes F_p coefficients (c^p = c).
         """
-        p = self.field.p
+        p = self.ring.field.p
         if not is_power_of(q, p):
             raise InputError("%d is not a power of the characteristic %d" % (q, p))
         if q == 1:
             return self
-        return Polynomial(
-            self.field, self.order, self.nvars, tuple((mono_pow(m, q), c) for m, c in self.terms)
-        )
+        return Polynomial(self.ring, tuple((mono_pow(m, q), c) for m, c in self.terms))
 
     # -- equality and display -------------------------------------------------
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Polynomial)
-            and self.compatible(other)
+            and self.ring.owns(other)
             and self.terms == other.terms
         )
 
     def __hash__(self) -> int:
-        return hash((self.field.p, self.order.spec(), self.terms))
+        return hash(self.terms)
 
-    def render(self, names) -> str:
-        """Human-readable form using the given variable names; reparseable."""
+    def render(self) -> str:
+        """Human-readable form in the ring's variable names; reparseable."""
         if not self.terms:
             return "0"
+        names = self.ring.variables
         parts = []
         for mono, coeff in self.terms:
             factors = []
@@ -219,5 +189,4 @@ class Polynomial:
         return " + ".join(parts)
 
     def __repr__(self) -> str:
-        names = ["x%d" % i for i in range(self.nvars)]
-        return "Poly(%s mod %d)" % (self.render(names), self.field.p)
+        return "Poly(%s mod %d)" % (self.render(), self.ring.field.p)

@@ -27,18 +27,21 @@ class PresentedRing:
             raise InputError("variable names must be distinct")
         if len(order.precedence) != len(variables):
             raise InputError("order arity does not match variable count")
-        relations = tuple(relations)
+        self.field = field
+        self.variables = variables
+        self.order = order
+        # Relations may come from any ring over the same field and variables
+        # (e.g. one with another order); they are re-homed here by terms.
+        rehomed = []
         for rel in relations:
-            if rel.field.p != field.p or rel.order != order or rel.nvars != len(variables):
+            if rel.ring.field != field or rel.ring.variables != variables:
                 raise InputError("relation lives in a different ring")
             if rel.is_zero():
                 raise InputError("zero relation is not allowed")
             if rel.constant_term() != 0:
                 raise InputError("relation has nonzero constant term")
-        self.field = field
-        self.variables = variables
-        self.order = order
-        self.relations = relations
+            rehomed.append(self.poly(rel.terms))
+        self.relations = tuple(rehomed)
         self._dim = None
         self._bases = {}  # sorted generator terms -> reduced GroebnerBasis
 
@@ -49,13 +52,13 @@ class PresentedRing:
     # -- element constructors -------------------------------------------------
 
     def zero(self) -> Polynomial:
-        return Polynomial.zero(self.field, self.order, self.nvars)
+        return Polynomial(self, ())
 
     def one(self) -> Polynomial:
-        return Polynomial.constant(self.field, self.order, self.nvars, 1)
+        return self.constant(1)
 
     def constant(self, c: int) -> Polynomial:
-        return Polynomial.constant(self.field, self.order, self.nvars, c)
+        return Polynomial(self, (((0,) * self.nvars, c),))
 
     def var(self, which, exp: int = 1) -> Polynomial:
         if isinstance(which, str):
@@ -63,13 +66,21 @@ class PresentedRing:
                 which = self.variables.index(which)
             except ValueError:
                 raise InputError("unknown variable %r" % which) from None
-        return Polynomial.variable(self.field, self.order, self.nvars, which, exp)
+        mono = tuple(exp if j == which else 0 for j in range(self.nvars))
+        return Polynomial(self, ((mono, 1),))
 
     def poly(self, terms) -> Polynomial:
-        return Polynomial(self.field, self.order, self.nvars, terms)
+        return Polynomial(self, terms)
 
     def owns(self, f: Polynomial) -> bool:
-        return f.field.p == self.field.p and f.order == self.order and f.nvars == self.nvars
+        """True iff f was built in this ring, or in one that differs only in
+        its relations (same field, variables and order)."""
+        other = f.ring
+        return other is self or (
+            other.field == self.field
+            and other.variables == self.variables
+            and other.order == self.order
+        )
 
     # -- invariants -----------------------------------------------------------
 
@@ -98,6 +109,6 @@ class PresentedRing:
         )
 
     def __repr__(self) -> str:
-        rels = ", ".join(r.render(self.variables) for r in self.relations)
+        rels = ", ".join(r.render() for r in self.relations)
         base = "F_%d[%s]" % (self.field.p, ",".join(self.variables))
         return base if not rels else "%s/(%s)" % (base, rels)

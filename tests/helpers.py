@@ -5,14 +5,13 @@ from hkcalc.parser import parse_polynomial
 
 
 def ring_of(p, names, kind="grevlex", relations=()):
-    field = PrimeField(p)
-    order = MonomialOrder(kind, len(names))
-    rels = [parse_polynomial(s, 0, 0, field, order, names) for s in relations]
-    return PresentedRing(field, tuple(names), order, rels)
+    free = PresentedRing(PrimeField(p), tuple(names), MonomialOrder(kind, len(names)))
+    rels = [poly_of(free, s) for s in relations]
+    return PresentedRing(free.field, free.variables, free.order, rels)
 
 
 def poly_of(ring, text):
-    return parse_polynomial(text, 0, 0, ring.field, ring.order, ring.variables)
+    return parse_polynomial(text, 0, 0, ring)
 
 
 def random_poly(rng, ring, max_terms=5, max_exp=4):

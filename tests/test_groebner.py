@@ -1,19 +1,31 @@
+import contextlib
 import random
 
 import pytest
 
 from hkcalc import InputError, ResourceLimitError, groebner_basis, normal_form, s_polynomial
+from hkcalc.groebner import SPAIR_CAP
+from hkcalc.orders import ORDER_KINDS
 from helpers import poly_of, random_poly, ring_of
 
 
-def _gb(ring, texts, **kw):
-    return groebner_basis(ring, [poly_of(ring, t) for t in texts], **kw)
+def _gb(ring, texts):
+    return groebner_basis(ring, [poly_of(ring, t) for t in texts])
+
+
+@contextlib.contextmanager
+def _spair_cap(cap):
+    token = SPAIR_CAP.set(cap)
+    try:
+        yield
+    finally:
+        SPAIR_CAP.reset(token)
 
 
 def test_lex_triangularization():
     ring = ring_of(7, ("x", "y", "z"), kind="lex")
     basis = _gb(ring, ["x - y^2", "y - z"])
-    rendered = [g.render(ring.variables) for g in basis.elements]
+    rendered = [g.render() for g in basis.elements]
     assert rendered == ["y + 6*z", "x + 6*z^2"]
 
 
@@ -85,7 +97,8 @@ def test_bases_cached_per_ring():
     ring = ring_of(5, ("x", "y", "z"))
     basis = _gb(ring, texts)
     assert _gb(ring, texts[::-1]) is basis
-    assert _gb(ring, texts, spair_cap=2) is basis  # cached: no S-pairs made
+    with _spair_cap(2):
+        assert _gb(ring, texts) is basis  # cached: no S-pairs made
     other = ring_of(5, ("x", "y", "z"))
     again = _gb(other, texts)
     assert again is not basis and again == basis
@@ -100,8 +113,9 @@ def test_relations_are_adjoined():
 
 def test_spair_cap_raises():
     ring = ring_of(5, ("x", "y", "z"))
-    with pytest.raises(ResourceLimitError):
-        _gb(ring, ["x^2 + y*z", "y^3 - z^3", "x*z + 2*y^2", "z^4"], spair_cap=2)
+    with _spair_cap(2), pytest.raises(ResourceLimitError):
+        _gb(ring, ["x^2 + y*z", "y^3 - z^3", "x*z + 2*y^2", "z^4"])
+    assert SPAIR_CAP.get() > 2  # reset on the way out
 
 
 def test_cross_ring_generator_rejected():
@@ -116,3 +130,27 @@ def test_normal_form_against_monomial_basis():
     basis = _gb(ring, ["x^2", "y^3"])
     f = poly_of(ring, "x^3 + x*y^4 + x*y + 2")
     assert normal_form(f, basis.elements) == poly_of(ring, "x*y + 2")
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_reduced_basis_matches_sympy(p):
+    """Differential check: seeded random ideals in 2-3 variables, every order,
+    against sympy.groebner over GF(p) (reduced bases are canonical)."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(p)
+    for kind in ORDER_KINDS:
+        for _ in range(8):
+            names = ("x", "y", "z")[: rng.randint(2, 3)]
+            ring = ring_of(p, names, kind=kind)
+            gens = []
+            while not gens:
+                drawn = [random_poly(rng, ring, 3, 3) for _ in range(rng.randint(2, 3))]
+                gens = [g for g in drawn if not g.is_zero()]
+            symbols = sympy.symbols(names)
+            exprs = [sympy.Poly.from_dict(dict(g.terms), *symbols).as_expr() for g in gens]
+            theirs = sympy.groebner(exprs, *symbols, modulus=p, order=kind).polys
+            expected = sorted(
+                ring.poly((m, int(c)) for m, c in h.terms()).monic().terms for h in theirs
+            )
+            ours = sorted(g.terms for g in groebner_basis(ring, gens).elements)
+            assert ours == expected, (kind, [g.render() for g in gens])

@@ -48,6 +48,23 @@ def test_order_override():
     assert ring.order.kind == "lex"
 
 
+def test_build_ring_rehomes_relations_in_its_order():
+    session = parse_session("char 5\nvars x y\nmod x - y^2\n")
+    for kind, lm in (("grevlex", (0, 2)), ("lex", (1, 0))):
+        ring = session.build_ring(order_kind=kind)
+        (rel,) = ring.relations
+        assert rel.ring is ring and rel.lm == lm
+
+
+def test_session_polynomials_share_one_relation_free_ring():
+    session = parse_session(QUADRIC)
+    polys = list(session.relations) + list(session.params.values())
+    polys += [g for gens in session.ideals.values() for g in gens]
+    polys += [g for gens, _ in session.primes.values() for g in gens]
+    assert len({id(g.ring) for g in polys}) == 1
+    assert polys[0].ring.relations == ()
+
+
 def test_unknown_names_rejected():
     session = parse_session(QUADRIC)
     with pytest.raises(InputError):
@@ -93,7 +110,7 @@ def test_errors_carry_line_numbers():
 
 
 def _poly(text, ring):
-    return parse_polynomial(text, 1, 0, ring.field, ring.order, ring.variables)
+    return parse_polynomial(text, 1, 0, ring)
 
 
 def test_polynomial_grammar():

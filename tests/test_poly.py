@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hkcalc import InputError, MonomialOrder, Polynomial, PrimeField
+from hkcalc import Ideal, InputError, Polynomial, PresentedRing, groebner_basis
 from hkcalc.poly import is_power_of
 from helpers import poly_of, random_poly, ring_of
 
@@ -94,6 +94,32 @@ def test_cross_ring_operations_rejected():
         a.var(0) * c.var(0)
 
 
+def test_rings_differing_only_in_names_do_not_mix():
+    xy = ring_of(5, ("x", "y"))
+    ab = ring_of(5, ("a", "b"))
+    with pytest.raises(InputError):
+        xy.var(0) + ab.var(0)
+    assert xy.var(0) != ab.var(0)
+    with pytest.raises(InputError):
+        groebner_basis(xy, [ab.var(0)])
+    with pytest.raises(InputError):
+        Ideal(xy, [ab.var(1)])
+    with pytest.raises(InputError):
+        PresentedRing(ab.field, ab.variables, ab.order, [poly_of(xy, "x*y")])
+
+
+def test_rings_differing_only_in_relations_mix():
+    free = ring_of(5, ("x", "y", "z"))
+    cone = ring_of(5, ("x", "y", "z"), relations=("x*y - z^2",))
+    assert free.var(0) + cone.var(1) == poly_of(cone, "x + y")
+    assert cone.relations[0].ring is cone
+
+
+def test_repr_uses_ring_names():
+    ring = ring_of(7, ("u", "v"))
+    assert repr(poly_of(ring, "3*u^2*v + 1")) == "Poly(3*u^2*v + 1 mod 7)"
+
+
 def test_monic_and_scale():
     ring = ring_of(7, ("x", "y"))
     f = poly_of(ring, "3*x^2 + 5*y")
@@ -106,12 +132,11 @@ def test_render_roundtrip():
     ring = ring_of(5, ("x", "y", "z"))
     for text in ("x^2*y + 4*z", "x + y + z + 1", "2", "z^10"):
         f = poly_of(ring, text)
-        assert poly_of(ring, f.render(ring.variables)) == f
-    assert ring.zero().render(ring.variables) == "0"
+        assert poly_of(ring, f.render()) == f
+    assert ring.zero().render() == "0"
 
 
 def test_constructor_rejects_bad_arity():
-    field = PrimeField(5)
-    order = MonomialOrder("grevlex", 2)
+    ring = ring_of(5, ("x", "y"))
     with pytest.raises(InputError):
-        Polynomial(field, order, 2, (((1, 2, 3), 1),))
+        Polynomial(ring, (((1, 2, 3), 1),))
