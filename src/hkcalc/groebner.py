@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import contextvars
 import heapq
+from bisect import bisect_left, bisect_right
 
 from .errors import InputError, ResourceLimitError
-from .orders import mono_div, mono_divides, mono_lcm, mono_mul
+from .orders import mono_div, mono_lcm, mono_mul
 from .poly import Polynomial
 from .ring import PresentedRing
 
@@ -21,43 +22,89 @@ DEFAULT_SPAIR_CAP = 10**6
 SPAIR_CAP = contextvars.ContextVar("SPAIR_CAP", default=DEFAULT_SPAIR_CAP)
 
 
+class _LeadIndex:
+    """The leading terms of a polynomial list, indexed for divisibility.
+
+    For each variable, `exps` holds the distinct leading exponents in
+    ascending order, and `masks[t]` the bitmask of the list positions whose
+    exponent is one of exps[:t].  The positions whose leading term divides m
+    are then one bisect and one AND per variable.  Each position also keeps
+    its reducer: (lm, 1/lc, terms).
+    """
+
+    __slots__ = ("ring", "exps", "masks", "reducers")
+
+    def __init__(self, ring: PresentedRing, polys=()):
+        self.ring = ring
+        self.exps = [[] for _ in range(ring.nvars)]
+        self.masks = [[0] for _ in range(ring.nvars)]
+        self.reducers = []
+        for g in polys:
+            if not g.is_zero():
+                self.add(g)
+
+    def add(self, g: Polynomial) -> None:
+        """Append g (nonzero) as the next position."""
+        if not self.ring.owns(g):
+            raise InputError("operands live in different rings")
+        bit = 1 << len(self.reducers)
+        lm = g.lm
+        for e, exps, masks in zip(lm, self.exps, self.masks):
+            t = bisect_left(exps, e)
+            if t == len(exps) or exps[t] != e:
+                exps.insert(t, e)
+                masks.insert(t + 1, masks[t])
+            for u in range(t + 1, len(masks)):
+                masks[u] |= bit
+        lc = g.lc
+        self.reducers.append((lm, 1 if lc == 1 else self.ring.field.inv(lc), g.terms))
+
+    def dividing(self, m) -> int:
+        """Bitmask of the positions whose leading term divides m."""
+        mask = -1
+        for e, exps, masks in zip(m, self.exps, self.masks):
+            mask &= masks[bisect_right(exps, e)]
+        return mask
+
+
 def normal_form(f: Polynomial, basis) -> Polynomial:
-    """Fully reduce f modulo the polynomial list `basis`.
+    """Fully reduce f modulo `basis`, a polynomial list or a _LeadIndex.
 
     Every reducible term is rewritten by the first basis element (in the
     given fixed order) whose leading term divides it, largest terms first.
     The remainder has no term divisible by any leading term of the basis.
     """
     ring = f.ring
-    divisors = []
-    for g in basis:
-        if not g.is_zero():
-            if g.ring is not ring:
-                f._check(g)
-            divisors.append((g.lm, ring.field.inv(g.lc), g.terms))
+    if isinstance(basis, _LeadIndex):
+        if not basis.ring.owns(f):
+            raise InputError("operands live in different rings")
+    else:
+        basis = _LeadIndex(ring, basis)
+    dividing = basis.dividing
+    reducers = basis.reducers
     p = ring.field.p
     key = ring.order.key
     work = dict(f.terms)
     out = {}
     while work:
         m = max(work, key=key)
-        c = work[m]
-        for lm, lcinv, terms in divisors:
-            if mono_divides(lm, m):
-                # Subtract (c / lc(g)) * x^(m - lm) * g; the leading term of
-                # the product cancels m exactly.
-                shift = mono_div(m, lm)
-                coef = c * lcinv % p
-                for mg, cg in terms:
-                    mm = mono_mul(mg, shift)
-                    v = (work.get(mm, 0) - coef * cg) % p
-                    if v:
-                        work[mm] = v
-                    elif mm in work:
-                        del work[mm]
-                break
-        else:
+        mask = dividing(m)
+        if not mask:
             out[m] = work.pop(m)
+            continue
+        # The lowest set bit is the first divisor in the basis order.
+        lm, lcinv, terms = reducers[(mask & -mask).bit_length() - 1]
+        # Subtract (c / lc(g)) * x^(m - lm) * g; the leading term of the
+        # product cancels m exactly.
+        shift = mono_div(m, lm)
+        coef = work[m] * lcinv % p
+        for mg, cg in terms:
+            mm = mono_mul(mg, shift)
+            v = (work.get(mm, 0) - coef * cg) % p
+            if v:
+                work[mm] = v
+            elif mm in work:
+                del work[mm]
     return Polynomial(ring, out.items())
 
 
@@ -73,11 +120,12 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 class GroebnerBasis:
     """A reduced Groebner basis: monic, interreduced, sorted by leading term."""
 
-    __slots__ = ("ring", "elements")
+    __slots__ = ("ring", "elements", "_index")
 
     def __init__(self, ring: PresentedRing, elements):
         self.ring = ring
         self.elements = tuple(elements)
+        self._index = None  # built on the first normal_form: bases only counted hold none
 
     @property
     def leading_monomials(self):
@@ -86,7 +134,9 @@ class GroebnerBasis:
     def normal_form(self, f: Polynomial) -> Polynomial:
         if not self.elements:
             return f
-        return normal_form(f, self.elements)
+        if self._index is None:
+            self._index = _LeadIndex(self.ring, self.elements)
+        return normal_form(f, self._index)
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
@@ -108,11 +158,14 @@ class GroebnerBasis:
         return "GroebnerBasis(%d elements)" % len(self.elements)
 
 
-def _minimal(key, basis):
+def _minimal(ring, basis):
     """Elements whose leading term no smaller element's divides, ascending."""
+    key = ring.order.key
+    index = _LeadIndex(ring)
     minimal = []
     for g in sorted(basis, key=lambda g: key(g.lm)):
-        if not any(mono_divides(h.lm, g.lm) for h in minimal):
+        if not index.dividing(g.lm):
+            index.add(g)
             minimal.append(g)
     return minimal
 
@@ -120,11 +173,17 @@ def _minimal(key, basis):
 def _interreduce(ring, basis):
     """Minimalize by leading term, then tail-reduce each element.
 
-    Tail reduction keeps every leading term, so the result stays sorted."""
-    reduced = _minimal(ring.order.key, basis)
+    Only a smaller leading term divides a term of g below lm(g), so reducing
+    in ascending order against the elements already reduced takes the same
+    steps as reducing against all the others.  Tail reduction keeps every
+    leading term, so the result stays sorted."""
+    reduced = _minimal(ring, basis)
+    if len(reduced) == 1:
+        return GroebnerBasis(ring, [reduced[0].monic()])
+    index = _LeadIndex(ring)
     for i, g in enumerate(reduced):
-        others = reduced[:i] + reduced[i + 1 :]
-        reduced[i] = normal_form(g, others).monic() if others else g.monic()
+        reduced[i] = normal_form(g, index).monic()
+        index.add(reduced[i])
     return GroebnerBasis(ring, reduced)
 
 
@@ -144,68 +203,64 @@ def groebner_basis(ring: PresentedRing, gens) -> GroebnerBasis:
     if hit is not None:
         return hit
     gens = gens + list(ring.relations)
-    key = ring.order.key
     if all(g.is_monomial() for g in gens):
         # The minimal generators of a monomial ideal, made monic, are its
         # reduced basis: no tail can be reduced.
-        result = GroebnerBasis(ring, [g.monic() for g in _minimal(key, gens)])
+        result = GroebnerBasis(ring, [g.monic() for g in _minimal(ring, gens)])
     else:
-        result = _interreduce(ring, _buchberger(key, gens))
+        result = _interreduce(ring, _buchberger(ring, gens))
     ring._bases[cache_key] = result
     return result
 
 
-def _buchberger(key, gens):
+def _buchberger(ring, gens):
     """A Groebner basis of (gens), neither minimal nor reduced."""
     spair_cap = SPAIR_CAP.get()
+    key = ring.order.key
     G = []
     lms = []
+    index = _LeadIndex(ring)
+    # pending[i]: bitmask of the k whose pair with i is still in the heap.
+    pending = []
     heap = []
-    pending = set()
     pairs_made = 0
 
-    def push_pairs(j):
+    def add(h):
         nonlocal pairs_made
+        h = h.monic()
+        j = len(G)
+        G.append(h)
+        lms.append(h.lm)
+        index.add(h)
+        pending.append(0)
         for i in range(j):
             lcm = mono_lcm(lms[i], lms[j])
             heapq.heappush(heap, (key(lcm), i, j, lcm))
-            pending.add((i, j))
+            pending[i] |= 1 << j
+            pending[j] |= 1 << i
             pairs_made += 1
             if pairs_made > spair_cap:
                 raise ResourceLimitError("S-pair cap of %d exceeded" % spair_cap)
 
-    def add(h):
-        h = h.monic()
-        G.append(h)
-        lms.append(h.lm)
-        push_pairs(len(G) - 1)
-
     for g in gens:
-        h = normal_form(g, G) if G else g
+        h = normal_form(g, index) if G else g
         if not h.is_zero():
             add(h)
 
     while heap:
         _, i, j, lcm = heapq.heappop(heap)
-        pending.discard((i, j))
+        bit_i, bit_j = 1 << i, 1 << j
+        pending[i] &= ~bit_j
+        pending[j] &= ~bit_i
         # Product criterion: coprime leading terms reduce to zero.
         if lcm == mono_mul(lms[i], lms[j]):
             continue
         # Chain criterion: a third element dividing the lcm whose pairs with
         # i and j were both already handled makes this pair redundant.
-        skip = False
-        for k in range(len(G)):
-            if k == i or k == j or not mono_divides(lms[k], lcm):
-                continue
-            a = (i, k) if i < k else (k, i)
-            b = (j, k) if j < k else (k, j)
-            if a not in pending and b not in pending:
-                skip = True
-                break
-        if skip:
+        if index.dividing(lcm) & ~(pending[i] | pending[j] | bit_i | bit_j):
             continue
         s = s_polynomial(G[i], G[j])
-        h = normal_form(s, G)
+        h = normal_form(s, index)
         if not h.is_zero():
             add(h)
 

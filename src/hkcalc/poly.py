@@ -138,7 +138,7 @@ class Polynomial:
         return result
 
     def monic(self):
-        if self.is_zero():
+        if self.is_zero() or self.terms[0][1] == 1:
             return self
         return self.scale(self.ring.field.inv(self.lc))
 

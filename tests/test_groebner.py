@@ -3,9 +3,10 @@ import random
 
 import pytest
 
+import hkcalc.groebner
 from hkcalc import InputError, ResourceLimitError, groebner_basis, normal_form, s_polynomial
-from hkcalc.groebner import SPAIR_CAP
-from hkcalc.orders import ORDER_KINDS
+from hkcalc.groebner import SPAIR_CAP, _LeadIndex
+from hkcalc.orders import ORDER_KINDS, mono_divides
 from helpers import poly_of, random_poly, ring_of
 
 
@@ -132,6 +133,14 @@ def test_normal_form_against_monomial_basis():
     assert normal_form(f, basis.elements) == poly_of(ring, "x*y + 2")
 
 
+def test_normal_form_reduces_by_first_divisor_in_order():
+    ring = ring_of(7, ("x", "y"))
+    linear, quadric = poly_of(ring, "3*x - 3"), poly_of(ring, "x*y - 2")
+    f = poly_of(ring, "x*y")
+    assert normal_form(f, [linear, quadric]) == poly_of(ring, "y")
+    assert normal_form(f, [quadric, linear]) == ring.constant(2)
+
+
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_reduced_basis_matches_sympy(p):
     """Differential check: seeded random ideals in 2-3 variables, every order,
@@ -154,3 +163,66 @@ def test_reduced_basis_matches_sympy(p):
             )
             ours = sorted(g.terms for g in groebner_basis(ring, gens).elements)
             assert ours == expected, (kind, [g.render() for g in gens])
+
+
+@pytest.mark.parametrize("q, spolys, size", [(7, 16, 10), (49, 100, 52)])
+def test_bracket_power_spair_decisions_pinned(monkeypatch, q, spolys, size):
+    """m^[q] on F_7[x,y,z]/(xy - z^2): the product and chain criteria leave
+    exactly this many S-polynomials to reduce."""
+    made = []
+
+    def counted(f, g):
+        made.append((f, g))
+        return s_polynomial(f, g)
+
+    monkeypatch.setattr(hkcalc.groebner, "s_polynomial", counted)
+    ring = ring_of(7, ("x", "y", "z"), relations=("x*y - z^2",))
+    basis = groebner_basis(ring, [ring.var(i, q) for i in range(3)])
+    assert (len(made), len(basis.elements)) == (spolys, size)
+
+    sympy = pytest.importorskip("sympy")
+    x, y, z = sympy.symbols("x y z")
+    theirs = sympy.groebner(
+        [x**q, y**q, z**q, x * y - z**2], x, y, z, modulus=7, order="grevlex"
+    ).polys
+    expected = sorted(ring.poly((m, int(c)) for m, c in h.terms()).monic().terms for h in theirs)
+    assert sorted(g.terms for g in basis.elements) == expected
+
+
+def test_lead_index_matches_brute_force_divisibility():
+    rng = random.Random(5)
+    for nvars in range(1, 6):
+        ring = ring_of(5, "abcde"[:nvars])
+        for _ in range(40):
+            pool = [tuple(rng.randint(0, 3) for _ in range(nvars)) for _ in range(rng.randint(1, 8))]
+            lms = [rng.choice(pool) for _ in range(rng.randint(1, 12))]  # with repeats
+            rng.shuffle(lms)
+            index = _LeadIndex(ring, [ring.poly([(u, rng.randint(1, 4))]) for u in lms])
+            for _ in range(20):
+                m = tuple(rng.randint(0, 4) for _ in range(nvars))
+                expected = sum(1 << i for i, u in enumerate(lms) if mono_divides(u, m))
+                assert index.dividing(m) == expected, (lms, m)
+
+
+def test_normal_form_ignores_leading_coefficients():
+    """Reducing by g or by g.monic() takes the same steps, and a reduced
+    basis gives one normal form whatever its order and scaling."""
+    rng = random.Random(11)
+    ring = ring_of(7, ("x", "y", "z"))
+    basis = _gb(ring, ["x^2 + y*z", "y^3 - z^3", "x*z + 2*y^2", "z^4"])
+    for _ in range(30):
+        raw = [g for g in (random_poly(rng, ring, 4, 3) for _ in range(3)) if not g.is_zero()]
+        f = random_poly(rng, ring, 6, 5)
+        assert normal_form(f, raw) == normal_form(f, [g.monic() for g in raw])
+        scaled = [g.scale(rng.randint(2, 6)) for g in basis.elements]
+        rng.shuffle(scaled)
+        assert normal_form(f, scaled) == basis.normal_form(f)
+
+
+def test_normal_form_rejects_other_ring():
+    basis = _gb(ring_of(5, ("x", "y")), ["x^2 + y", "y^3"])
+    f = ring_of(7, ("x", "y")).var(0)
+    with pytest.raises(InputError):
+        normal_form(f, basis.elements)
+    with pytest.raises(InputError):
+        basis.normal_form(f)

@@ -126,6 +126,8 @@ def test_monic_and_scale():
     assert f.monic().lc == 1
     assert f.monic().scale(3) == f
     assert ring.zero().monic().is_zero()
+    g = f.monic()
+    assert g.monic() is g  # immutable, so a monic polynomial is its own monic form
 
 
 def test_render_roundtrip():
