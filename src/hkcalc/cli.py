@@ -37,6 +37,7 @@ from .lengths import (
     is_finite,
     local_colength,
 )
+from .orders import ORDER_KINDS
 from .parser import parse_session
 
 EXIT_OK = 0
@@ -315,7 +316,7 @@ def _add_common(sp, session_file=True, ideal=False):
         sp.add_argument("--in", dest="infile", required=True, help="session file in the ring/ideal DSL")
     if ideal:
         sp.add_argument("--ideal", required=True, help="named ideal from the session")
-    sp.add_argument("--order", choices=("grevlex", "lex", "grlex"), default=None, help="override the session's monomial order")
+    sp.add_argument("--order", choices=ORDER_KINDS, default=None, help="override the session's monomial order")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--spair-cap", type=int, default=groebner.DEFAULT_SPAIR_CAP, help="S-pair generation cap")
 

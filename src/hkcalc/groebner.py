@@ -109,12 +109,15 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """S(f, g) for the pair's critical lcm; operands need not be monic."""
+    """S(f, g) for the pair's critical lcm; operands need not be monic.
+    The leading terms cancel, so only the two tails are multiplied out."""
+    f._check(g)
     lcm = mono_lcm(f.lm, g.lm)
-    p = f.ring.field.p
-    a = f.mul_term(mono_div(lcm, f.lm), g.lc % p)
-    b = g.mul_term(mono_div(lcm, g.lm), f.lc % p)
-    return a - b
+    sf, sg = mono_div(lcm, f.lm), mono_div(lcm, g.lm)
+    cf, cg = g.lc, f.ring.field.p - f.lc
+    terms = [(mono_mul(m, sf), c * cf) for m, c in f.terms[1:]]
+    terms += [(mono_mul(m, sg), c * cg) for m, c in g.terms[1:]]
+    return Polynomial(f.ring, terms)
 
 
 class GroebnerBasis:

@@ -2,11 +2,12 @@
 Hilbert-Samuel multiplicity of a parameter on a one-dimensional quotient.
 
 The global (affine) colength counts standard monomials of the leading-term
-ideal.  The local colength, at the origin, is the global colength of the
-ideal with the pure powers x_i^c adjoined, c being the global colength:
-those powers lie in the ideal localized at the origin and remove every
-other point of the variety.  Homogeneous ideals skip that step, since both
-notions agree.
+ideal.  The local colength, at the origin, counts standard monomials of a
+standard basis for a local degree order, found by Lazard's homogenization
+(Greuel-Pfister, A Singular Introduction to Commutative Algebra, 1.7):
+the reduced basis of the homogenized ideal under grlex with the new
+variable first.  Homogeneous ideals skip that step, since both notions
+agree.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from dataclasses import dataclass
 
 from .errors import CertificationError, InputError
 from .ideals import Ideal, maximal_ideal
+from .orders import MonomialOrder
 from .poly import Polynomial
+from .ring import PresentedRing
 
 # Least certification floor and least ladder length for hilbert_samuel.
 HS_FLOOR = 3
@@ -127,24 +130,26 @@ def _all_homogeneous(I: Ideal) -> bool:
 def local_colength(I: Ideal):
     """lambda over the localization at the origin.
 
-    Homogeneous ideals agree with the global colength c.  Otherwise the
-    local factor at the origin has length l <= c, so m^l = 0 there and every
-    x_i^c lies in I localized at the origin.  Adjoining those powers keeps
-    the local length and leaves the origin as the only point, so the global
-    colength of the sum is exact.  If I already contains them, that is c.
+    Homogeneous ideals agree with the global colength.  Otherwise this is
+    Lazard's method: homogenize the generators and relations with a new
+    first variable t.  On forms of one degree, grlex with t first prefers
+    the higher power of t, so it homogenizes the local degree order (lower
+    degree is larger, ties by lex).  The leading monomials of the reduced
+    basis, t dropped, generate the local leading ideal of I, and their
+    staircase is the local length: INFINITE iff the origin is not isolated.
     """
-    c = colength(I)
-    if c is INFINITE:
-        return INFINITE
-    if c == 0 or _all_homogeneous(I):
-        return c
+    if _all_homogeneous(I):
+        return colength(I)
     ring = I.ring
-    gb = I.gb()
-    powers = [ring.var(i, c) for i in range(ring.nvars)]
-    missing = [f for f in powers if not gb.contains(f)]
-    if not missing:
-        return c
-    return colength(I + Ideal(ring, missing))
+    n = ring.nvars
+    # "@t" is not a session variable name, so it never clashes with one.
+    hring = PresentedRing(ring.field, ("@t",) + ring.variables, MonomialOrder("grlex", n + 1))
+    gens = []
+    for f in I.generators + ring.relations:
+        d = f.degree()
+        gens.append(hring.poly(((d - sum(m),) + m, c) for m, c in f.terms))
+    lead = Ideal(hring, gens).gb().leading_monomials
+    return count_standard_monomials([m[1:] for m in lead], n)
 
 
 def quotient_length(I: Ideal, J: Ideal):

@@ -38,10 +38,6 @@ def mono_pow(u: Monomial, k: int) -> Monomial:
     return tuple(a * k for a in u)
 
 
-def mono_deg(u: Monomial) -> int:
-    return sum(u)
-
-
 class MonomialOrder:
     """A total, multiplicative well-order on monomials.
 

@@ -26,7 +26,9 @@ from .field import PrimeField
 from .ideals import Ideal
 from .orders import ORDER_KINDS, MonomialOrder
 from .poly import Polynomial
-from .ring import MAX_VARS, PresentedRing
+from .ring import PresentedRing
+
+MAX_VARS = 10
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()]))")

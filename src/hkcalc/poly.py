@@ -119,12 +119,6 @@ class Polynomial:
         c %= self.ring.field.p
         return Polynomial(self.ring, tuple((m, co * c) for m, co in self.terms))
 
-    def mul_term(self, mono, coeff):
-        """Multiply by the single term coeff * x^mono."""
-        p = self.ring.field.p
-        terms = tuple((mono_mul(m, mono), c * coeff % p) for m, c in self.terms)
-        return Polynomial(self.ring, terms)
-
     def __pow__(self, k: int):
         if k < 0:
             raise InputError("negative polynomial power")

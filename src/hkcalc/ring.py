@@ -11,8 +11,6 @@ from .field import PrimeField
 from .orders import MonomialOrder
 from .poly import Polynomial
 
-MAX_VARS = 10
-
 
 class PresentedRing:
     __slots__ = ("field", "variables", "order", "relations", "_dim", "_bases")
@@ -21,8 +19,6 @@ class PresentedRing:
         variables = tuple(variables)
         if not variables:
             raise InputError("at least one variable is required")
-        if len(variables) > MAX_VARS:
-            raise InputError("at most %d variables are supported" % MAX_VARS)
         if len(set(variables)) != len(variables):
             raise InputError("variable names must be distinct")
         if len(order.precedence) != len(variables):

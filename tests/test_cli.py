@@ -82,6 +82,16 @@ def test_local_colength_infinite(capsys, session_file):
     assert json.loads(out)["local_colength"] == "INFINITE"
 
 
+def test_local_colength_isolated_origin(capsys, tmp_path):
+    """The variety is the origin plus the line y = 1; near the origin y - 1
+    is a unit, so the local ring is F_5."""
+    path = tmp_path / "isolated.hk"
+    path.write_text("char 5\nvars x y\nideal I = x*y - x, y^2 - y\n")
+    code, out, _ = _run(capsys, ["local-colength", "--in", str(path), "--ideal", "I"])
+    assert code == 0
+    assert json.loads(out)["local_colength"] == 1
+
+
 def test_gb_and_order_override(capsys, session_file):
     code, out, _ = _run(capsys, ["gb", "--in", session_file, "--ideal", "J"])
     assert code == 0

@@ -89,6 +89,21 @@ def test_local_colength_drops_components_away_from_origin():
     assert local_colength(_ideal(ring, ["x^3 - x^2"])) == 2
 
 
+def test_local_colength_isolated_origin_of_a_curve():
+    ring = ring_of(5, ("x", "y"))
+    I = _ideal(ring, ["x*y - x", "y^2 - y"])  # the origin and the line y = 1
+    assert colength(I) is INFINITE
+    assert local_colength(I) == 1
+    assert local_colength(_ideal(ring, ["x*y - x", "y^3 - y^2"])) == 2  # (x, y^2) locally
+
+
+def test_local_colength_ten_variables():
+    names = tuple("x%d" % i for i in range(10))
+    ring = ring_of(7, names)
+    I = _ideal(ring, ["%s^3 - %s^2" % (v, v) for v in names])
+    assert local_colength(I) == 2**10
+
+
 def test_local_colength_mprimary_certificate_path():
     # Inhomogeneous but supported only at the origin: local = global.
     ring = ring_of(5, ("x", "y"))
@@ -121,9 +136,34 @@ def _random_zero_dim_ideal(rng, ring, degrees):
     return Ideal(ring, gens)
 
 
+def _assert_truncation_agrees(I, gens_terms):
+    """dim R/(I + m^N) is l for every N >= l and at least N for N <= l, so a
+    wrong finite value disagrees with the oracle at N = value + 1."""
+    local = local_colength(I)
+    assert is_finite(local), I
+    for N in (local + 1, local + 3):
+        assert local == local_colength_truncated(7, I.ring.nvars, gens_terms, N), (I, N)
+    return local
+
+
+def _unit_at_origin(rng, ring):
+    """A random c + sum(a_i x_i) + b x_i x_j with c, a_i, b nonzero."""
+    n = ring.nvars
+    i, j = rng.randrange(n), rng.randrange(n)
+    square = tuple(int(i == k) + int(j == k) for k in range(n))
+    linear = [tuple(int(v == k) for k in range(n)) for v in range(n)]
+    monos = [(0,) * n, square] + linear
+    return ring.poly([(m, rng.randint(1, ring.field.p - 1)) for m in monos])
+
+
 def test_local_colength_vs_truncation_oracle():
-    """local_colength on random non-homogeneous ideals equals dim R/(I + m^(c+1))."""
+    """local_colength on random non-homogeneous ideals equals dim R/(I + m^(c+1)).
+
+    Every third ideal I is also multiplied by h with h(0) != 0: h is a unit
+    at the origin, so I * (h) keeps the local length of I, while the
+    hypersurface V(h) makes its global colength INFINITE."""
     rng = random.Random(202)
+    units = random.Random(303)
     seen = set()
     for trial in range(30):
         if trial % 2:
@@ -138,9 +178,28 @@ def test_local_colength_vs_truncation_oracle():
         gens_terms = [list(g.terms) for g in I.generators]
         assert local == local_colength_truncated(7, ring.nvars, gens_terms, c + 1), I
         seen.add((local == c, local > 1))
+        if trial % 3 == 0:
+            Ih = I.product(Ideal(ring, [_unit_at_origin(units, ring)]))
+            assert colength(Ih) is INFINITE, Ih
+            assert _assert_truncation_agrees(Ih, [list(g.terms) for g in Ih.generators]) == local
     # Some samples have points away from the origin, and some a fat origin.
     assert {True, False} <= {same for same, _ in seen}
     assert any(fat for _, fat in seen)
+
+
+def test_local_colength_nonhomogeneous_relation():
+    """A relation that is not homogeneous counts as one more generator."""
+    cubic = ring_of(7, ("x", "y", "z"), relations=("x*y - z^3",))
+    line = ring_of(7, ("x", "y"), relations=("x*y - x",))
+    cases = [
+        (cubic, ["x^2", "y^2", "z^2"], 6),
+        (cubic, ["x - y^2 + 3*z^2", "y^2 + 2*x*z"], 6),
+        (line, ["y^2 - y"], 1),  # the line y = 1 misses the origin
+    ]
+    for ring, texts, expected in cases:
+        I = _ideal(ring, texts)
+        gens_terms = [list(g.terms) for g in I.generators + ring.relations]
+        assert _assert_truncation_agrees(I, gens_terms) == expected
 
 
 def test_quotient_length():
@@ -154,6 +213,8 @@ def test_quotient_length():
         quotient_length(J, I)  # containment fails
     with pytest.raises(InputError):
         quotient_length(_ideal(ring, ["x"]), J)  # not m-primary
+    # m-primary at the origin, although the line y = 1 lies on its variety.
+    assert quotient_length(_ideal(ring, ["x*y - x", "y^3 - y^2"]), J) == 1
 
 
 def test_hilbert_samuel_basic():

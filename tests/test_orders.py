@@ -4,7 +4,6 @@ import pytest
 
 from hkcalc import InputError, MonomialOrder
 from hkcalc.orders import (
-    mono_deg,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -21,7 +20,6 @@ def test_mono_helpers():
     assert mono_divides(v, mono_mul(u, v))
     assert mono_div(mono_mul(u, v), v) == u
     assert mono_pow(u, 5) == (10, 0, 15)
-    assert mono_deg(u) == 5
 
 
 def test_known_comparisons_grevlex():
