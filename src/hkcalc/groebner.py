@@ -1,8 +1,10 @@
 """Buchberger's algorithm, normal forms, and reduced Groebner bases.
 
 Selection follows the normal strategy (minimal S-pair lcm in the ambient
-order), with the product and chain criteria.  All tie-breaking is by fixed
-generator ordering, so results are bit-reproducible.
+order).  Redundant pairs are dropped as each element is added, by the
+Gebauer-Moller update (J. Symb. Comp. 6, 1988), not at selection.  All
+tie-breaking is by fixed generator ordering, so results are
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import contextvars
 import heapq
 from bisect import bisect_left, bisect_right
+from operator import le
 
 from .errors import InputError, ResourceLimitError
 from .orders import mono_div, mono_lcm, mono_mul
@@ -182,12 +185,12 @@ def _interreduce(ring, basis):
     leading term, so the result stays sorted."""
     reduced = _minimal(ring, basis)
     if len(reduced) == 1:
-        return GroebnerBasis(ring, [reduced[0].monic()])
+        return [reduced[0].monic()]
     index = _LeadIndex(ring)
     for i, g in enumerate(reduced):
         reduced[i] = normal_form(g, index).monic()
         index.add(reduced[i])
-    return GroebnerBasis(ring, reduced)
+    return reduced
 
 
 def groebner_basis(ring: PresentedRing, gens) -> GroebnerBasis:
@@ -209,41 +212,81 @@ def groebner_basis(ring: PresentedRing, gens) -> GroebnerBasis:
     if all(g.is_monomial() for g in gens):
         # The minimal generators of a monomial ideal, made monic, are its
         # reduced basis: no tail can be reduced.
-        result = GroebnerBasis(ring, [g.monic() for g in _minimal(ring, gens)])
+        elements = [g.monic() for g in _minimal(ring, gens)]
     else:
-        result = _interreduce(ring, _buchberger(ring, gens))
+        elements = _interreduce(ring, _buchberger(ring, gens))
+    # The bases cached on a ring share many elements (the rungs of a ladder
+    # do), so they share one copy of each.
+    shared = ring._elements
+    result = GroebnerBasis(ring, [shared.setdefault(g.terms, g) for g in elements])
     ring._bases[cache_key] = result
     return result
 
 
 def _buchberger(ring, gens):
-    """A Groebner basis of (gens), neither minimal nor reduced."""
+    """A Groebner basis of (gens), neither minimal nor reduced.
+
+    Redundant pairs are dropped as each element h is added, by the
+    Gebauer-Moller update (Becker-Weispfenning, Groebner Bases, 5.5), so
+    the pop loop only reduces.  A queued pair (i, k) is dropped when lm(h)
+    divides its lcm and neither lcm(lm_i, lm_h) nor lcm(lm_k, lm_h) equals
+    it (B_k).  Of the new pairs with h, one per lcm is queued (F), and only
+    for lcms that are minimal under divisibility (M) and shared with no
+    pair of coprime leading terms (product criterion).  Elements whose
+    leading term is a multiple of lm(h) form no further pairs.
+    """
     spair_cap = SPAIR_CAP.get()
     key = ring.order.key
     G = []
     lms = []
+    degs = []
+    active = []
     index = _LeadIndex(ring)
-    # pending[i]: bitmask of the k whose pair with i is still in the heap.
-    pending = []
     heap = []
     pairs_made = 0
 
     def add(h):
-        nonlocal pairs_made
+        nonlocal heap, pairs_made
         h = h.monic()
         j = len(G)
+        pairs_made += j
+        if pairs_made > spair_cap:
+            raise ResourceLimitError("S-pair cap of %d exceeded" % spair_cap)
+        lm = h.lm
+        deg = sum(lm)
+        # B_k, on the queued pairs (i, k) = (e[1], e[2]) with lcm e[3].
+        heap = [
+            e
+            for e in heap
+            if not all(map(le, lm, e[3]))
+            or tuple(map(max, lms[e[1]], lm)) == e[3]
+            or tuple(map(max, lms[e[2]], lm)) == e[3]
+        ]
+        # New pairs (i, j), grouped by lcm: the smallest i, and whether any
+        # pair of the group has coprime leading terms.
+        groups = {}
+        for i in active:
+            lcm = tuple(map(max, lms[i], lm))
+            group = groups.setdefault(lcm, [i, False])
+            if sum(lcm) == degs[i] + deg:
+                group[1] = True
+        # M, in ascending degree: a strict divisor of an lcm has a smaller
+        # degree.  F: one pair per lcm, none if any of its pairs is coprime.
+        minimal = []
+        for lcm in sorted(groups, key=sum):
+            if not any(all(map(le, m, lcm)) for m in minimal):
+                minimal.append(lcm)
+                i, coprime = groups[lcm]
+                if not coprime:
+                    heap.append((key(lcm), i, j, lcm))
+        heapq.heapify(heap)
+        # Multiples of lm form no further pairs, but still reduce.
+        active[:] = [i for i in active if not all(map(le, lm, lms[i]))]
+        active.append(j)
         G.append(h)
-        lms.append(h.lm)
+        lms.append(lm)
+        degs.append(deg)
         index.add(h)
-        pending.append(0)
-        for i in range(j):
-            lcm = mono_lcm(lms[i], lms[j])
-            heapq.heappush(heap, (key(lcm), i, j, lcm))
-            pending[i] |= 1 << j
-            pending[j] |= 1 << i
-            pairs_made += 1
-            if pairs_made > spair_cap:
-                raise ResourceLimitError("S-pair cap of %d exceeded" % spair_cap)
 
     for g in gens:
         h = normal_form(g, index) if G else g
@@ -251,19 +294,8 @@ def _buchberger(ring, gens):
             add(h)
 
     while heap:
-        _, i, j, lcm = heapq.heappop(heap)
-        bit_i, bit_j = 1 << i, 1 << j
-        pending[i] &= ~bit_j
-        pending[j] &= ~bit_i
-        # Product criterion: coprime leading terms reduce to zero.
-        if lcm == mono_mul(lms[i], lms[j]):
-            continue
-        # Chain criterion: a third element dividing the lcm whose pairs with
-        # i and j were both already handled makes this pair redundant.
-        if index.dividing(lcm) & ~(pending[i] | pending[j] | bit_i | bit_j):
-            continue
-        s = s_polynomial(G[i], G[j])
-        h = normal_form(s, index)
+        _, i, j, _ = heapq.heappop(heap)
+        h = normal_form(s_polynomial(G[i], G[j]), index)
         if not h.is_zero():
             add(h)
 

@@ -142,8 +142,12 @@ def local_colength(I: Ideal):
         return colength(I)
     ring = I.ring
     n = ring.nvars
-    # "@t" is not a session variable name, so it never clashes with one.
-    hring = PresentedRing(ring.field, ("@t",) + ring.variables, MonomialOrder("grlex", n + 1))
+    # One homogenizing ring per ring, so the bases cached on it are reused.
+    hring = ring._homogenizing
+    if hring is None:
+        # "@t" is not a session variable name, so it never clashes with one.
+        hring = PresentedRing(ring.field, ("@t",) + ring.variables, MonomialOrder("grlex", n + 1))
+        ring._homogenizing = hring
     gens = []
     for f in I.generators + ring.relations:
         d = f.degree()

@@ -71,9 +71,6 @@ class MonomialOrder:
         # significant variable, hence the reversed negated tuple.
         return (deg,) + tuple(-m[i] for i in self._rev)
 
-    def greater(self, u: Monomial, v: Monomial) -> bool:
-        return self.key(u) > self.key(v)
-
     def spec(self):
         return (self.kind, self.precedence)
 

@@ -13,7 +13,16 @@ from .poly import Polynomial
 
 
 class PresentedRing:
-    __slots__ = ("field", "variables", "order", "relations", "_dim", "_bases")
+    __slots__ = (
+        "field",
+        "variables",
+        "order",
+        "relations",
+        "_dim",
+        "_bases",
+        "_elements",
+        "_homogenizing",
+    )
 
     def __init__(self, field: PrimeField, variables, order: MonomialOrder, relations=()):
         variables = tuple(variables)
@@ -40,6 +49,8 @@ class PresentedRing:
         self.relations = tuple(rehomed)
         self._dim = None
         self._bases = {}  # sorted generator terms -> reduced GroebnerBasis
+        self._elements = {}  # terms -> the one element of _bases with them
+        self._homogenizing = None  # built by lengths.local_colength on first use
 
     @property
     def nvars(self) -> int:

@@ -4,7 +4,14 @@ import random
 import pytest
 
 import hkcalc.groebner
-from hkcalc import InputError, ResourceLimitError, groebner_basis, normal_form, s_polynomial
+from hkcalc import (
+    InputError,
+    PresentedRing,
+    ResourceLimitError,
+    groebner_basis,
+    normal_form,
+    s_polynomial,
+)
 from hkcalc.groebner import SPAIR_CAP, _LeadIndex
 from hkcalc.orders import ORDER_KINDS, mono_divides
 from helpers import poly_of, random_poly, ring_of
@@ -105,6 +112,14 @@ def test_bases_cached_per_ring():
     assert again is not basis and again == basis
 
 
+def test_cached_bases_share_equal_elements():
+    ring = ring_of(5, ("x", "y", "z"))
+    one = _gb(ring, ["x^2 + y*z", "z^3"])
+    two = _gb(ring, ["x^2 + y*z", "z^3", "y^4"])
+    assert two.elements[:2] == one.elements
+    assert all(g is h for g, h in zip(one.elements, two.elements))
+
+
 def test_relations_are_adjoined():
     ring = ring_of(5, ("x", "y", "z"), relations=("x*y - z^2",))
     basis = _gb(ring, ["x^5", "y^5", "z^5"])
@@ -117,6 +132,22 @@ def test_spair_cap_raises():
     with _spair_cap(2), pytest.raises(ResourceLimitError):
         _gb(ring, ["x^2 + y*z", "y^3 - z^3", "x*z + 2*y^2", "z^4"])
     assert SPAIR_CAP.get() > 2  # reset on the way out
+
+
+@pytest.mark.parametrize("q, cap", [(7, 45), (49, 1326)])
+def test_spair_cap_boundary(q, cap):
+    """m^[q] on F_7[x,y,z]/(xy - z^2) counts exactly `cap` S-pairs: the cap
+    admits it, one less does not."""
+
+    def bracket_power():
+        # A fresh ring each time, so no basis is cached.
+        ring = ring_of(7, ("x", "y", "z"), relations=("x*y - z^2",))
+        return groebner_basis(ring, [ring.var(i, q) for i in range(3)])
+
+    with _spair_cap(cap):
+        bracket_power()
+    with _spair_cap(cap - 1), pytest.raises(ResourceLimitError):
+        bracket_power()
 
 
 def test_cross_ring_generator_rejected():
@@ -141,6 +172,28 @@ def test_normal_form_reduces_by_first_divisor_in_order():
     assert normal_form(f, [quadric, linear]) == ring.constant(2)
 
 
+def _assert_basis_matches_sympy(sympy, ring, gens):
+    """Our reduced basis of (gens) + (relations) equals sympy.groebner's over
+    GF(p); reduced bases are canonical."""
+    p, names = ring.field.p, ring.variables
+    symbols = sympy.symbols(names)
+    polys = list(gens) + list(ring.relations)
+    exprs = [sympy.Poly.from_dict(dict(g.terms), *symbols).as_expr() for g in polys]
+    theirs = sympy.groebner(exprs, *symbols, modulus=p, order=ring.order.kind).polys
+    expected = sorted(ring.poly((m, int(c)) for m, c in h.terms()).monic().terms for h in theirs)
+    ours = sorted(g.terms for g in groebner_basis(ring, gens).elements)
+    assert ours == expected, (ring, [g.render() for g in gens])
+
+
+def _nonzero_polys(rng, ring, count, max_terms, max_exp):
+    polys = []
+    while len(polys) < count:
+        g = random_poly(rng, ring, max_terms, max_exp)
+        if not g.is_zero():
+            polys.append(g)
+    return polys
+
+
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_reduced_basis_matches_sympy(p):
     """Differential check: seeded random ideals in 2-3 variables, every order,
@@ -155,19 +208,75 @@ def test_reduced_basis_matches_sympy(p):
             while not gens:
                 drawn = [random_poly(rng, ring, 3, 3) for _ in range(rng.randint(2, 3))]
                 gens = [g for g in drawn if not g.is_zero()]
-            symbols = sympy.symbols(names)
-            exprs = [sympy.Poly.from_dict(dict(g.terms), *symbols).as_expr() for g in gens]
-            theirs = sympy.groebner(exprs, *symbols, modulus=p, order=kind).polys
-            expected = sorted(
-                ring.poly((m, int(c)) for m, c in h.terms()).monic().terms for h in theirs
-            )
-            ours = sorted(g.terms for g in groebner_basis(ring, gens).elements)
-            assert ours == expected, (kind, [g.render() for g in gens])
+            _assert_basis_matches_sympy(sympy, ring, gens)
+
+
+# Each loses a basis element if B_k drops a queued pair (i, k) whose lcm
+# equals lcm(lm_k, lm_h).
+_BK_CASES = [
+    (
+        3,
+        "grevlex",
+        "xyz",
+        ["x^2*y^3 + 2*x*y^3", "x^3*y^3*z^3 + 2*x^3*z", "2*x^3*y*z", "x^3*y^3*z + 2*y*z^2 + x^2"],
+        ["2*x*y^2*z + 2*x*y*z^2"],
+    ),
+    (
+        7,
+        "grlex",
+        "xyz",
+        [
+            "2*x*y^3*z + x^3*z",
+            "4*x^2*y^2*z^3 + 5*y*z + 5*z^2",
+            "5*y*z^2",
+            "4*x*y^2*z^2 + y^2*z^3",
+            "2*x^3*y^3 + 6*x^2*y + 5*y*z",
+        ],
+        [],
+    ),
+    (
+        3,
+        "grlex",
+        "wxyz",
+        [
+            "2*w^2*x^3*y*z^3 + w*x^2*y^2*z^3 + w^2*x*y^3*z",
+            "2*w^2*y^2*z^3 + 2*x^3*z^3",
+            "w^2*x^3*z^3",
+            "w^2*x^2*y^3*z + 2*w*x^2*y^3 + 2*y*z^3",
+        ],
+        [],
+    ),
+]
+
+
+@pytest.mark.parametrize("p, kind, names, texts, relations", _BK_CASES)
+def test_reduced_basis_matches_sympy_pair_update_cases(p, kind, names, texts, relations):
+    sympy = pytest.importorskip("sympy")
+    ring = ring_of(p, names, kind=kind, relations=relations)
+    _assert_basis_matches_sympy(sympy, ring, [poly_of(ring, t) for t in texts])
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_reduced_basis_matches_sympy_sparse_with_relations(p):
+    """Differential check with more pairs per basis: 4-5 sparse generators
+    in 3-4 variables, every order, every other ideal over a ring relation
+    without constant term."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(100 + p)
+    for kind in ORDER_KINDS:
+        for t in range(6):
+            names = ("w", "x", "y", "z")[: rng.randint(3, 4)]
+            ring = ring_of(p, names, kind=kind)
+            if t % 2:
+                relation = ring.poly((m, c) for m, c in random_poly(rng, ring, 2, 2).terms if any(m))
+                if not relation.is_zero():
+                    ring = PresentedRing(ring.field, ring.variables, ring.order, [relation])
+            _assert_basis_matches_sympy(sympy, ring, _nonzero_polys(rng, ring, rng.randint(4, 5), 2, 3))
 
 
 @pytest.mark.parametrize("q, spolys, size", [(7, 16, 10), (49, 100, 52)])
 def test_bracket_power_spair_decisions_pinned(monkeypatch, q, spolys, size):
-    """m^[q] on F_7[x,y,z]/(xy - z^2): the product and chain criteria leave
+    """m^[q] on F_7[x,y,z]/(xy - z^2): the Gebauer-Moller update leaves
     exactly this many S-polynomials to reduce."""
     made = []
 

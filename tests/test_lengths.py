@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import hkcalc.groebner
 from hkcalc import (
     INFINITE,
     Ideal,
@@ -15,6 +16,7 @@ from hkcalc import (
     local_colength,
     maximal_ideal,
     quotient_length,
+    s_polynomial,
 )
 from helpers import poly_of, ring_of
 from oracles import local_colength_truncated, staircase_enumeration_count
@@ -95,6 +97,24 @@ def test_local_colength_isolated_origin_of_a_curve():
     assert colength(I) is INFINITE
     assert local_colength(I) == 1
     assert local_colength(_ideal(ring, ["x*y - x", "y^3 - y^2"])) == 2  # (x, y^2) locally
+
+
+def test_local_colength_reuses_its_homogenizing_ring(monkeypatch):
+    """A repeated non-homogeneous ideal finds its basis cached: no S-pairs."""
+    made = []
+
+    def counted(f, g):
+        made.append((f, g))
+        return s_polynomial(f, g)
+
+    monkeypatch.setattr(hkcalc.groebner, "s_polynomial", counted)
+    ring = ring_of(5, ("x", "y"))
+    texts = ["x*y - x", "y^3 - y^2"]
+    assert local_colength(_ideal(ring, texts)) == 2
+    assert made
+    made.clear()
+    assert local_colength(_ideal(ring, texts)) == 2
+    assert made == []
 
 
 def test_local_colength_ten_variables():
