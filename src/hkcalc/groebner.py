@@ -2,9 +2,12 @@
 
 Selection follows the normal strategy (minimal S-pair lcm in the ambient
 order).  Redundant pairs are dropped as each element is added, by the
-Gebauer-Moller update (J. Symb. Comp. 6, 1988), not at selection.  All
-tie-breaking is by fixed generator ordering, so results are
-bit-reproducible.
+Gebauer-Moller update (J. Symb. Comp. 6, 1988), not at selection; the
+update runs on leading monomials packed into ints, so a divisibility test
+is one subtract-and-mask.  S-polynomials are built straight into the term
+dict that normal_form reduces.  The elements left active at the end are
+the minimal basis, which is then tail-reduced.  All tie-breaking is by
+fixed generator ordering, so results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -12,10 +15,9 @@ from __future__ import annotations
 import contextvars
 import heapq
 from bisect import bisect_left, bisect_right
-from operator import le
+from operator import add, sub
 
 from .errors import InputError, ResourceLimitError
-from .orders import mono_div, mono_lcm, mono_mul
 from .poly import Polynomial
 from .ring import PresentedRing
 
@@ -70,9 +72,50 @@ class _LeadIndex:
         return mask
 
 
+class _PackedMonomials:
+    """Monomials packed into one int (Roune-Stillman, ISSAC 2012).
+
+    Each variable has a field of `bits` value bits and one guard bit above
+    them, lowest variable lowest.  While every exponent fits its field, u
+    divides v iff (v - u) & guard == 0, u and v are coprime iff
+    lcm(u, v) == u + v, and a strict divisor of v packs to a smaller int.
+    `widen` grows the fields to fit the exponents it is shown, so they
+    never overflow; values packed before a widening must be packed again.
+    """
+
+    __slots__ = ("bits", "guard")
+
+    def __init__(self):
+        self.bits = -1  # no width yet
+        self.guard = 0
+
+    def widen(self, m) -> bool:
+        """Make every exponent of m fit; True iff the packing changed."""
+        bits = max(m).bit_length()
+        if bits <= self.bits:
+            return False
+        self.bits = bits
+        self.guard = sum(1 << ((bits + 1) * i + bits) for i in range(len(m)))
+        return True
+
+    def pack(self, m) -> int:
+        width = self.bits + 1
+        v = 0
+        for e in reversed(m):
+            v = (v << width) | e
+        return v
+
+    def lcm(self, u: int, v: int) -> int:
+        """Fieldwise max: a field's guard survives (u | guard) - v iff u >= v there."""
+        guard = self.guard
+        ge = ((u | guard) - v) & guard
+        return v ^ ((u ^ v) & (ge - (ge >> self.bits)))
+
+
 def normal_form(f: Polynomial, basis) -> Polynomial:
     """Fully reduce f modulo `basis`, a polynomial list or a _LeadIndex.
 
+    f is a Polynomial or an S-polynomial made by s_polynomial.
     Every reducible term is rewritten by the first basis element (in the
     given fixed order) whose leading term divides it, largest terms first.
     The remainder has no term divisible by any leading term of the basis.
@@ -99,10 +142,10 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
         lm, lcinv, terms = reducers[(mask & -mask).bit_length() - 1]
         # Subtract (c / lc(g)) * x^(m - lm) * g; the leading term of the
         # product cancels m exactly.
-        shift = mono_div(m, lm)
+        shift = tuple(map(sub, m, lm))
         coef = work[m] * lcinv % p
         for mg, cg in terms:
-            mm = mono_mul(mg, shift)
+            mm = tuple(map(add, mg, shift))
             v = (work.get(mm, 0) - coef * cg) % p
             if v:
                 work[mm] = v
@@ -111,16 +154,39 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     return Polynomial(ring, out.items())
 
 
-def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+class _TermDict:
+    """An unsorted polynomial: `terms` maps each monomial to its nonzero
+    coefficient mod p.  normal_form reduces it like a Polynomial."""
+
+    __slots__ = ("ring", "terms")
+
+    def __init__(self, ring: PresentedRing, terms: dict):
+        self.ring = ring
+        self.terms = terms
+
+
+def s_polynomial(f: Polynomial, g: Polynomial) -> _TermDict:
     """S(f, g) for the pair's critical lcm; operands need not be monic.
-    The leading terms cancel, so only the two tails are multiplied out."""
+
+    The leading terms cancel, so only the two tails are multiplied out, into
+    the unsorted term dict normal_form starts from: S-polynomials are made
+    to be reduced, so none is sorted into a Polynomial.  Pass its
+    `terms.items()` to Polynomial for a sorted one."""
     f._check(g)
-    lcm = mono_lcm(f.lm, g.lm)
-    sf, sg = mono_div(lcm, f.lm), mono_div(lcm, g.lm)
-    cf, cg = g.lc, f.ring.field.p - f.lc
-    terms = [(mono_mul(m, sf), c * cf) for m, c in f.terms[1:]]
-    terms += [(mono_mul(m, sg), c * cg) for m, c in g.terms[1:]]
-    return Polynomial(f.ring, terms)
+    p = f.ring.field.p
+    flm, glm = f.lm, g.lm
+    lcm = tuple(map(max, flm, glm))
+    sf, sg = tuple(map(sub, lcm, flm)), tuple(map(sub, lcm, glm))
+    cf, cg = g.lc, p - f.lc
+    terms = {tuple(map(add, m, sf)): c * cf % p for m, c in f.terms[1:]}
+    for m, c in g.terms[1:]:
+        m = tuple(map(add, m, sg))
+        v = (terms.get(m, 0) + c * cg) % p
+        if v:
+            terms[m] = v
+        else:
+            terms.pop(m, None)
+    return _TermDict(f.ring, terms)
 
 
 class GroebnerBasis:
@@ -165,7 +231,8 @@ class GroebnerBasis:
 
 
 def _minimal(ring, basis):
-    """Elements whose leading term no smaller element's divides, ascending."""
+    """Elements whose leading term no smaller element's divides, ascending.
+    Only monomial ideals need this; _buchberger's output is minimal."""
     key = ring.order.key
     index = _LeadIndex(ring)
     minimal = []
@@ -177,19 +244,19 @@ def _minimal(ring, basis):
 
 
 def _interreduce(ring, basis):
-    """Minimalize by leading term, then tail-reduce each element.
+    """Tail-reduce a minimal basis, sorted ascending by leading term.
 
     Only a smaller leading term divides a term of g below lm(g), so reducing
     in ascending order against the elements already reduced takes the same
     steps as reducing against all the others.  Tail reduction keeps every
     leading term, so the result stays sorted."""
-    reduced = _minimal(ring, basis)
-    if len(reduced) == 1:
-        return [reduced[0].monic()]
+    if len(basis) == 1:
+        return [basis[0].monic()]
+    reduced = []
     index = _LeadIndex(ring)
-    for i, g in enumerate(reduced):
-        reduced[i] = normal_form(g, index).monic()
-        index.add(reduced[i])
+    for g in basis:
+        reduced.append(normal_form(g, index).monic())
+        index.add(reduced[-1])
     return reduced
 
 
@@ -224,7 +291,8 @@ def groebner_basis(ring: PresentedRing, gens) -> GroebnerBasis:
 
 
 def _buchberger(ring, gens):
-    """A Groebner basis of (gens), neither minimal nor reduced.
+    """The minimal Groebner basis of (gens), monic and sorted ascending by
+    leading term, but not tail-reduced.
 
     Redundant pairs are dropped as each element h is added, by the
     Gebauer-Moller update (Becker-Weispfenning, Groebner Bases, 5.5), so
@@ -234,15 +302,20 @@ def _buchberger(ring, gens):
     for lcms that are minimal under divisibility (M) and shared with no
     pair of coprime leading terms (product criterion).  Elements whose
     leading term is a multiple of lm(h) form no further pairs.
+
+    Every element is fully reduced by the earlier ones before it is added,
+    so no earlier leading term divides a later one, and the elements whose
+    leading terms no later one divides are the minimal basis.
     """
     spair_cap = SPAIR_CAP.get()
     key = ring.order.key
     G = []
     lms = []
-    degs = []
+    packed = _PackedMonomials()
+    plms = []  # packed leading monomials
     active = []
     index = _LeadIndex(ring)
-    heap = []
+    heap = []  # (order key of the lcm, i, k, packed lcm)
     pairs_made = 0
 
     def add(h):
@@ -253,39 +326,51 @@ def _buchberger(ring, gens):
         if pairs_made > spair_cap:
             raise ResourceLimitError("S-pair cap of %d exceeded" % spair_cap)
         lm = h.lm
-        deg = sum(lm)
+        if packed.widen(lm):
+            plms[:] = map(packed.pack, lms)
+            heap = [(e[0], e[1], e[2], packed.lcm(plms[e[1]], plms[e[2]])) for e in heap]
+        p = packed.pack(lm)
+        guard, bits = packed.guard, packed.bits
+        lcm = packed.lcm
         # B_k, on the queued pairs (i, k) = (e[1], e[2]) with lcm e[3].
         heap = [
             e
             for e in heap
-            if not all(map(le, lm, e[3]))
-            or tuple(map(max, lms[e[1]], lm)) == e[3]
-            or tuple(map(max, lms[e[2]], lm)) == e[3]
+            if (e[3] - p) & guard or lcm(plms[e[1]], p) == e[3] or lcm(plms[e[2]], p) == e[3]
         ]
         # New pairs (i, j), grouped by lcm: the smallest i, and whether any
-        # pair of the group has coprime leading terms.
+        # pair of the group has coprime leading terms (lcm = product).
         groups = {}
         for i in active:
-            lcm = tuple(map(max, lms[i], lm))
-            group = groups.setdefault(lcm, [i, False])
-            if sum(lcm) == degs[i] + deg:
+            # l = lcm(a, p), inlined: this loop runs for every active element.
+            a = plms[i]
+            ge = ((a | guard) - p) & guard
+            l = p ^ ((a ^ p) & (ge - (ge >> bits)))
+            group = groups.get(l)
+            if group is None:
+                groups[l] = [i, l == a + p]
+            elif l == a + p:
                 group[1] = True
-        # M, in ascending degree: a strict divisor of an lcm has a smaller
-        # degree.  F: one pair per lcm, none if any of its pairs is coprime.
+        # M, in ascending packed order: a strict divisor of an lcm packs to
+        # a smaller int.  F: one pair per lcm, none if any of its pairs is
+        # coprime.
         minimal = []
-        for lcm in sorted(groups, key=sum):
-            if not any(all(map(le, m, lcm)) for m in minimal):
-                minimal.append(lcm)
-                i, coprime = groups[lcm]
+        for l in sorted(groups):
+            for m in minimal:
+                if not (l - m) & guard:
+                    break
+            else:
+                minimal.append(l)
+                i, coprime = groups[l]
                 if not coprime:
-                    heap.append((key(lcm), i, j, lcm))
+                    heap.append((key(tuple(map(max, lms[i], lm))), i, j, l))
         heapq.heapify(heap)
         # Multiples of lm form no further pairs, but still reduce.
-        active[:] = [i for i in active if not all(map(le, lm, lms[i]))]
+        active[:] = [i for i in active if (plms[i] - p) & guard]
         active.append(j)
         G.append(h)
         lms.append(lm)
-        degs.append(deg)
+        plms.append(p)
         index.add(h)
 
     for g in gens:
@@ -299,4 +384,4 @@ def _buchberger(ring, gens):
         if not h.is_zero():
             add(h)
 
-    return G
+    return sorted((G[i] for i in active), key=lambda g: key(g.lm))

@@ -59,9 +59,12 @@ def count_standard_monomials(lead_monomials, nvars: int):
     """Number of monomials outside the given monomial ideal, or INFINITE.
 
     The staircase is finite iff every variable has a pure power among the
-    generators.  It is sliced along the variable with the fewest distinct
-    exponents; each slab between consecutive exponents is a staircase in one
-    variable fewer, counted recursively with memoization on sub-staircases.
+    generators.  A staircase in two variables is counted in closed form, as
+    the area under the running minimum of its corners sorted along the
+    first variable.  More variables are sliced along the variable with the
+    fewest distinct exponents; each slab between consecutive exponents is a
+    staircase in one variable fewer, counted recursively with memoization
+    on sub-staircases.
     """
     monos = {tuple(m) for m in lead_monomials}
     if (0,) * nvars in monos:
@@ -72,9 +75,20 @@ def count_standard_monomials(lead_monomials, nvars: int):
     memo = {}
 
     def rec(gens, k):
-        # gens holds a pure power of each of the k variables and no unit.
+        # gens is sorted and holds a pure power of each of the k variables
+        # and no unit.
         if k == 1:
-            return min(m[0] for m in gens)
+            return gens[0][0]
+        if k == 2:
+            # gens[0] is the least power of the second variable; the first
+            # variable's least power ends the run with height 0.
+            area = 0
+            x, y = gens[0]
+            for a, b in gens:
+                if b < y:
+                    area += (a - x) * y
+                    x, y = a, b
+            return area
         value = memo.get(gens)
         if value is None:
             j = min(range(k), key=lambda i: len({m[i] for m in gens}))

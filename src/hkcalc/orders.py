@@ -17,23 +17,6 @@ def mono_mul(u: Monomial, v: Monomial) -> Monomial:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def mono_divides(u: Monomial, v: Monomial) -> bool:
-    """True iff u divides v."""
-    for a, b in zip(u, v):
-        if a > b:
-            return False
-    return True
-
-
-def mono_div(u: Monomial, v: Monomial) -> Monomial:
-    """u / v, assuming v divides u."""
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def mono_lcm(u: Monomial, v: Monomial) -> Monomial:
-    return tuple(a if a > b else b for a, b in zip(u, v))
-
-
 def mono_pow(u: Monomial, k: int) -> Monomial:
     return tuple(a * k for a in u)
 

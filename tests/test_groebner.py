@@ -12,8 +12,8 @@ from hkcalc import (
     normal_form,
     s_polynomial,
 )
-from hkcalc.groebner import SPAIR_CAP, _LeadIndex
-from hkcalc.orders import ORDER_KINDS, mono_divides
+from hkcalc.groebner import SPAIR_CAP, _LeadIndex, _PackedMonomials
+from hkcalc.orders import ORDER_KINDS
 from helpers import poly_of, random_poly, ring_of
 
 
@@ -309,8 +309,68 @@ def test_lead_index_matches_brute_force_divisibility():
             index = _LeadIndex(ring, [ring.poly([(u, rng.randint(1, 4))]) for u in lms])
             for _ in range(20):
                 m = tuple(rng.randint(0, 4) for _ in range(nvars))
-                expected = sum(1 << i for i, u in enumerate(lms) if mono_divides(u, m))
+                expected = sum(1 << i for i, u in enumerate(lms) if all(a <= b for a, b in zip(u, m)))
                 assert index.dividing(m) == expected, (lms, m)
+
+
+def test_packed_monomials_match_exponent_tuples():
+    """Divisibility, lcm, coprimality and the packed order, against exponent
+    tuples, while the fields widen to fit larger exponents."""
+    rng = random.Random(8)
+    for nvars in range(1, 5):
+        packed = _PackedMonomials()
+        seen = []
+        for top in (1, 3, 6, 40, 1000, 2**40):
+            monos = [tuple(rng.randint(0, top) for _ in range(nvars)) for _ in range(8)]
+            monos += [tuple(rng.choice((0, e)) for e in m) for m in monos[:3]]  # coprime to some
+            for m in monos:
+                packed.widen(m)
+            seen += monos
+            ints = {m: packed.pack(m) for m in seen}  # packed again after widening
+            for u in monos:
+                for v in seen:
+                    for x, y in ((u, v), (v, u)):
+                        a, b = ints[x], ints[y]
+                        divides = all(s <= t for s, t in zip(x, y))
+                        assert (not (b - a) & packed.guard) == divides, (x, y)
+                        assert packed.lcm(a, b) == packed.pack(tuple(map(max, x, y)))
+                        assert (packed.lcm(a, b) == a + b) == all(not (s and t) for s, t in zip(x, y))
+                        if divides and x != y:
+                            assert a < b, (x, y)
+
+
+def test_packed_width_grows_past_any_fixed_field():
+    """Under lex, x -> x^(2^40) commutes with the reduced basis: the
+    substituted ideal's basis is the original with x-exponents scaled."""
+    texts = ["x^2*y - z^2", "x*z^2 - y^2", "y^3 - x*z"]
+    ring = ring_of(5, ("x", "y", "z"), kind="lex")
+    basis = _gb(ring, texts)
+    # z^14 needs wider fields than the first leading term, x^2*y.
+    assert max(m[2] for g in basis.elements for m, _ in g.terms) == 14
+    scale = 2**40
+    other = ring_of(5, ("x", "y", "z"), kind="lex")
+    substituted = groebner_basis(
+        other, [other.poly(((m[0] * scale,) + m[1:], c) for m, c in poly_of(other, t).terms) for t in texts]
+    )
+    assert [g.terms for g in substituted.elements] == [
+        tuple(((m[0] * scale,) + m[1:], c) for m, c in g.terms) for g in basis.elements
+    ]
+
+
+def test_s_polynomial_matches_polynomial_arithmetic():
+    """S(f, g) = lc(g) * (L / lm f) * f - lc(f) * (L / lm g) * g, L the lcm
+    of the leading monomials, as Polynomial products."""
+    rng = random.Random(17)
+    for kind in ORDER_KINDS:
+        ring = ring_of(7, ("x", "y", "z"), kind=kind)
+        for _ in range(40):
+            f, g = _nonzero_polys(rng, ring, 2, 5, 4)
+            lcm = tuple(max(a, b) for a, b in zip(f.lm, g.lm))
+            shift_f = ring.poly([(tuple(a - b for a, b in zip(lcm, f.lm)), g.lc)])
+            shift_g = ring.poly([(tuple(a - b for a, b in zip(lcm, g.lm)), f.lc)])
+            s = s_polynomial(f, g)
+            assert ring.poly(s.terms.items()) == shift_f * f - shift_g * g
+            assert all(s.terms.values())
 
 
 def test_normal_form_ignores_leading_coefficients():

@@ -42,16 +42,59 @@ def test_count_standard_monomials_basics():
     assert count_standard_monomials([(3, 0), (0, 2), (1, 1)], 2) == 4
 
 
+def _rung_staircase(rng, bounds, count):
+    """`count` monomials shaped like the leading terms of a Hilbert-Samuel
+    rung: a pure power of each variable below its bound, then corners near
+    the surface sum(e_i / bound_i) = 1, some of them redundant."""
+    n = len(bounds)
+    gens = [tuple(b if i == j else 0 for i in range(n)) for j, b in enumerate(bounds)]
+    while len(gens) < count:
+        weights = [rng.random() for _ in range(n)]
+        scale = rng.uniform(0.85, 1.05) / sum(weights)
+        gens.append(tuple(int(b * w * scale) for b, w in zip(bounds, weights)))
+    rng.shuffle(gens)
+    return gens
+
+
 def test_count_standard_monomials_vs_enumeration_random():
     rng = random.Random(101)
+    cases = []
     for _ in range(100):
         n = rng.randint(1, 5)
         bounds = tuple(rng.randint(1, 6) for _ in range(n))
         gens = [tuple(b if i == j else 0 for i in range(n)) for j, b in enumerate(bounds)]
         for _ in range(rng.randint(0, 4)):
             gens.append(tuple(rng.randint(0, b) for b in bounds))
+        cases.append((gens, bounds))
+    # Large planar and three-variable staircases, as ladder rungs make.
+    for n, repeats in ((2, 30), (3, 10)):
+        for _ in range(repeats):
+            bounds = tuple(rng.randint(10, 100) for _ in range(n))
+            cases.append((_rung_staircase(rng, bounds, rng.randint(40, 300)), bounds))
+    for gens, bounds in cases:
         expected = staircase_enumeration_count(gens, bounds)
-        assert count_standard_monomials(gens, n) == expected, gens
+        assert count_standard_monomials(gens, len(bounds)) == expected, gens
+
+
+def test_count_standard_monomials_vs_enumeration_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def staircases(draw):
+        bounds = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=4)))
+        corner = st.tuples(*(st.integers(0, b) for b in bounds))
+        extra = draw(st.lists(corner, max_size=12))
+        pure = [tuple(b if i == j else 0 for i in range(len(bounds))) for j, b in enumerate(bounds)]
+        return draw(st.permutations(pure + extra)), bounds
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @hypothesis.given(staircases())
+    def agrees(case):
+        gens, bounds = case
+        assert count_standard_monomials(gens, len(bounds)) == staircase_enumeration_count(gens, bounds)
+
+    agrees()
 
 
 def test_dimension():

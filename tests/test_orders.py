@@ -3,22 +3,12 @@ import random
 import pytest
 
 from hkcalc import InputError, MonomialOrder
-from hkcalc.orders import (
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-    mono_pow,
-)
+from hkcalc.orders import mono_mul, mono_pow
 
 
 def test_mono_helpers():
     u, v = (2, 0, 3), (1, 1, 0)
     assert mono_mul(u, v) == (3, 1, 3)
-    assert mono_lcm(u, v) == (2, 1, 3)
-    assert not mono_divides(u, v)
-    assert mono_divides(v, mono_mul(u, v))
-    assert mono_div(mono_mul(u, v), v) == u
     assert mono_pow(u, 5) == (10, 0, 15)
 
 
