@@ -22,7 +22,7 @@ from .errors import (
 from .field import PrimeField
 from .groebner import GroebnerBasis, groebner_basis, normal_form, s_polynomial
 from .hk import EHKEstimate, HKReport, HKRow, ehk_estimate, hk_function, localized_frobenius_colength
-from .ideals import Ideal, ideal_equal, maximal_ideal
+from .ideals import Ideal, maximal_ideal
 from .lengths import (
     INFINITE,
     MultiplicityResult,

@@ -67,7 +67,7 @@ def _q_powers(ring: PresentedRing, q_list):
 def check_kunz(ring: PresentedRing, q_list) -> CheckReport:
     """lambda(R/m^[q]) >= q^d for every listed q; equality signals regularity."""
     q_list = _q_powers(ring, q_list)
-    d = ring.dimension
+    d = dimension(Ideal(ring, ()))
     m = maximal_ideal(ring)
     quantities = {"d": d}
     ok = True
@@ -240,7 +240,7 @@ def check_thm33(P: Ideal, x: Polynomial, q_list) -> CheckReport:
         return CheckReport(
             "thm33", inputs, {}, INAPPLICABLE, "precondition unmet: dim(R/P) != 1"
         )
-    d = ring.dimension
+    d = dimension(Ideal(ring, ()))
     m = maximal_ideal(ring)
     quantities = {"d": d, "t": 1}
     ok = True

@@ -93,9 +93,12 @@ def _ring(session, args):
 
 def _q_list(raw):
     try:
-        return [int(part) for part in raw.split(",") if part.strip()]
+        qs = [int(part) for part in (raw or "").split(",") if part.strip()]
     except ValueError:
         raise InputError("--q must be a comma-separated list of integers") from None
+    if not qs:
+        raise InputError("--q needs at least one value")
+    return qs
 
 
 def _check_report_out(report, args):

@@ -28,7 +28,6 @@ class HKRow:
 @dataclass(frozen=True)
 class HKReport:
     ring_desc: str
-    ideal_desc: str
     d: int
     rows: tuple
     estimate: Optional[Fraction]
@@ -47,7 +46,7 @@ def hk_function(I: Ideal, e_max: int) -> HKReport:
     base = local_colength(I)
     if not is_finite(base):
         raise InputError("the ideal is not m-primary: infinite colength")
-    d = ring.dimension
+    d = dimension(Ideal(ring, ()))
     p = ring.field.p
     rows = []
     for e in range(1, e_max + 1):
@@ -63,7 +62,6 @@ def hk_function(I: Ideal, e_max: int) -> HKReport:
         estimate, method = None, "absent"
     return HKReport(
         ring_desc=repr(ring),
-        ideal_desc=repr(I),
         d=d,
         rows=tuple(rows),
         estimate=estimate,
@@ -92,9 +90,10 @@ def ehk_estimate(I: Ideal, e_max: int) -> EHKEstimate:
     report = hk_function(I, e_max)
     d = report.d
     r1, r2 = report.rows[-2], report.rows[-1]
-    q1, q2 = r1.q, r2.q
+    # Fraction powers stay exact when d = 0 makes d - 1 negative.
+    q1, q2 = Fraction(r1.q), Fraction(r2.q)
     denom = q2**d * q1 ** (d - 1) - q1**d * q2 ** (d - 1)
-    a = Fraction(r2.colength * q1 ** (d - 1) - r1.colength * q2 ** (d - 1), denom)
+    a = (r2.colength * q1 ** (d - 1) - r1.colength * q2 ** (d - 1)) / denom
     method = "two-point-fit"
     if report.estimate_method == "exact-stationary":
         method = "exact-stationary"

@@ -41,9 +41,6 @@ class Ideal:
     def is_unit(self) -> bool:
         return self.gb().is_unit_ideal()
 
-    def is_proper(self) -> bool:
-        return not self.is_unit()
-
     def _check(self, other):
         if not isinstance(other, Ideal) or other.ring != self.ring:
             raise InputError("ideals live in different rings")
@@ -93,7 +90,3 @@ class Ideal:
 def maximal_ideal(ring: PresentedRing) -> Ideal:
     """The ideal of all variables: the maximal ideal at the origin."""
     return Ideal(ring, [ring.var(i) for i in range(ring.nvars)])
-
-
-def ideal_equal(a: Ideal, b: Ideal) -> bool:
-    return a.same_ideal(b)

@@ -160,7 +160,7 @@ def local_colength(I: Ideal):
     hring = ring._homogenizing
     if hring is None:
         # "@t" is not a session variable name, so it never clashes with one.
-        hring = PresentedRing(ring.field, ("@t",) + ring.variables, MonomialOrder("grlex", n + 1))
+        hring = PresentedRing(ring.field, ("@t",) + ring.variables, MonomialOrder("grlex"))
         ring._homogenizing = hring
     gens = []
     for f in I.generators + ring.relations:

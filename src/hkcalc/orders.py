@@ -2,66 +2,62 @@
 
 A monomial is a plain tuple of nonnegative exponents, one per variable.
 A MonomialOrder turns monomials into sort keys; larger key = larger monomial.
+Every order kind ranks the variables in declaration order, the first most
+significant.
 """
 
 from __future__ import annotations
 
+from operator import neg
+
 from .errors import InputError
 
-ORDER_KINDS = ("grevlex", "lex", "grlex")
 
-Monomial = tuple  # exponent tuple; alias for readability
-
-
-def mono_mul(u: Monomial, v: Monomial) -> Monomial:
+def mono_mul(u: tuple, v: tuple) -> tuple:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def mono_pow(u: Monomial, k: int) -> Monomial:
+def mono_pow(u: tuple, k: int) -> tuple:
     return tuple(a * k for a in u)
 
 
-class MonomialOrder:
-    """A total, multiplicative well-order on monomials.
+def _lex_key(m: tuple) -> tuple:
+    return m
 
-    kind is one of grevlex / lex / grlex; precedence is a permutation of
-    variable indices, most significant first (default: declaration order).
+
+def _grlex_key(m: tuple) -> tuple:
+    return (sum(m),) + m
+
+
+def _grevlex_key(m: tuple) -> tuple:
+    # Ties broken by the *smallest* exponent on the last variable, hence the
+    # reversed negated tuple.
+    return (sum(m),) + tuple(map(neg, reversed(m)))
+
+
+_KEYS = {"grevlex": _grevlex_key, "lex": _lex_key, "grlex": _grlex_key}
+ORDER_KINDS = tuple(_KEYS)
+
+
+class MonomialOrder:
+    """A total, multiplicative well-order on monomials: grevlex, lex or grlex.
+
+    `key(m)` is its sort key; key(u) > key(v) iff u > v in this order.
     """
 
-    __slots__ = ("kind", "precedence", "_rev")
+    __slots__ = ("kind", "key")
 
-    def __init__(self, kind: str, nvars: int, precedence=None):
-        if kind not in ORDER_KINDS:
+    def __init__(self, kind: str):
+        if kind not in _KEYS:
             raise InputError("unknown monomial order %r" % kind)
-        if precedence is None:
-            precedence = tuple(range(nvars))
-        else:
-            precedence = tuple(precedence)
-            if sorted(precedence) != list(range(nvars)):
-                raise InputError("precedence must be a permutation of variable indices")
         self.kind = kind
-        self.precedence = precedence
-        self._rev = tuple(reversed(precedence))
-
-    def key(self, m: Monomial):
-        """Sort key; key(u) > key(v) iff u > v in this order."""
-        if self.kind == "lex":
-            return tuple(m[i] for i in self.precedence)
-        deg = sum(m)
-        if self.kind == "grlex":
-            return (deg,) + tuple(m[i] for i in self.precedence)
-        # grevlex: ties broken by the *smallest* exponent on the least
-        # significant variable, hence the reversed negated tuple.
-        return (deg,) + tuple(-m[i] for i in self._rev)
-
-    def spec(self):
-        return (self.kind, self.precedence)
+        self.key = _KEYS[kind]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MonomialOrder) and self.spec() == other.spec()
+        return isinstance(other, MonomialOrder) and self.kind == other.kind
 
     def __hash__(self) -> int:
-        return hash(("MonomialOrder",) + self.spec())
+        return hash(("MonomialOrder", self.kind))
 
     def __repr__(self) -> str:
-        return "MonomialOrder(%r, precedence=%r)" % (self.kind, self.precedence)
+        return "MonomialOrder(%r)" % self.kind

@@ -155,7 +155,7 @@ class SessionInput:
     params: dict = dc_field(default_factory=dict)  # name -> Polynomial
 
     def build_ring(self, order_kind=None) -> PresentedRing:
-        order = MonomialOrder(order_kind or self.order_kind, len(self.variables))
+        order = MonomialOrder(order_kind or self.order_kind)
         return PresentedRing(PrimeField(self.p), self.variables, order, self.relations)
 
     def _rebuild(self, polys, ring):
@@ -226,7 +226,7 @@ def parse_session(text: str) -> SessionInput:
     def parse_poly(chunk, lineno, col0):
         nonlocal ring
         if ring is None:
-            ring = PresentedRing(field, variables, MonomialOrder(order_kind, len(variables)))
+            ring = PresentedRing(field, variables, MonomialOrder(order_kind))
         return parse_polynomial(chunk, lineno, col0, ring)
 
     def parse_gen_list(rhs, lineno, col0):
@@ -315,7 +315,7 @@ def parse_session(text: str) -> SessionInput:
         raise InputError("missing 'char' directive")
     if variables is None:
         raise InputError("missing 'vars' directive")
-    session = SessionInput(
+    return SessionInput(
         p=p,
         variables=variables,
         order_kind=order_kind,
@@ -324,6 +324,3 @@ def parse_session(text: str) -> SessionInput:
         primes=primes,
         params=params,
     )
-    # Validate the presentation eagerly so errors surface at parse time.
-    session.build_ring()
-    return session

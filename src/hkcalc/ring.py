@@ -18,7 +18,6 @@ class PresentedRing:
         "variables",
         "order",
         "relations",
-        "_dim",
         "_bases",
         "_elements",
         "_homogenizing",
@@ -30,8 +29,6 @@ class PresentedRing:
             raise InputError("at least one variable is required")
         if len(set(variables)) != len(variables):
             raise InputError("variable names must be distinct")
-        if len(order.precedence) != len(variables):
-            raise InputError("order arity does not match variable count")
         self.field = field
         self.variables = variables
         self.order = order
@@ -47,7 +44,6 @@ class PresentedRing:
                 raise InputError("relation has nonzero constant term")
             rehomed.append(self.poly(rel.terms))
         self.relations = tuple(rehomed)
-        self._dim = None
         self._bases = {}  # sorted generator terms -> reduced GroebnerBasis
         self._elements = {}  # terms -> the one element of _bases with them
         self._homogenizing = None  # built by lengths.local_colength on first use
@@ -89,18 +85,6 @@ class PresentedRing:
             and other.order == self.order
         )
 
-    # -- invariants -----------------------------------------------------------
-
-    @property
-    def dimension(self) -> int:
-        """Krull dimension of the ring (dimension of the zero ideal)."""
-        if self._dim is None:
-            from .lengths import dimension
-            from .ideals import Ideal
-
-            self._dim = dimension(Ideal(self, ()))
-        return self._dim
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PresentedRing)
@@ -112,7 +96,7 @@ class PresentedRing:
 
     def __hash__(self) -> int:
         return hash(
-            (self.field.p, self.variables, self.order.spec(), tuple(r.terms for r in self.relations))
+            (self.field.p, self.variables, self.order, tuple(r.terms for r in self.relations))
         )
 
     def __repr__(self) -> str:

@@ -5,7 +5,7 @@ from hkcalc.parser import parse_polynomial
 
 
 def ring_of(p, names, kind="grevlex", relations=()):
-    free = PresentedRing(PrimeField(p), tuple(names), MonomialOrder(kind, len(names)))
+    free = PresentedRing(PrimeField(p), tuple(names), MonomialOrder(kind))
     rels = [poly_of(free, s) for s in relations]
     return PresentedRing(free.field, free.variables, free.order, rels)
 

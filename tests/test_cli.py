@@ -157,6 +157,10 @@ def test_exit_code_input_errors(capsys, tmp_path, session_file):
     assert code == 2
     code, _, _ = _run(capsys, ["no-such-verb"])
     assert code == 2
+    code, _, err = _run(capsys, ["check", "kunz", "--in", session_file])
+    assert code == 2 and "--q" in err
+    code, _, err = _run(capsys, ["check", "kunz", "--in", session_file, "--q", ","])
+    assert code == 2 and "--q" in err
 
 
 def test_exit_code_inapplicable(capsys, session_file):

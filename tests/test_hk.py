@@ -70,6 +70,15 @@ def test_ehk_estimate_exact_on_regular():
     assert est.gap == 0
 
 
+def test_ehk_estimate_zero_dimensional_ring():
+    """d = 0 makes the fit's q^(d-1) a negative power; it stays exact."""
+    ring = ring_of(5, ("x",), relations=("x^2",))
+    est = ehk_estimate(maximal_ideal(ring), 2)
+    assert est.report.d == 0
+    assert (est.estimate, est.gap, est.method) == (2, 0, "exact-stationary")
+    assert isinstance(est.estimate, Fraction)
+
+
 def test_localized_frobenius_colength_regular():
     ring = ring_of(5, ("x", "y", "z"))
     P = _ideal(ring, ["y", "z"])

@@ -1,0 +1,67 @@
+"""The package keeps its arithmetic exact and its dependencies to the stdlib.
+
+Every module under src/hkcalc is parsed, not imported, so the rule holds for
+code paths no other test reaches.
+"""
+
+import ast
+import pathlib
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "hkcalc"
+
+STDLIB = {
+    "__future__",
+    "argparse",
+    "bisect",
+    "contextvars",
+    "csv",
+    "dataclasses",
+    "fractions",
+    "heapq",
+    "io",
+    "itertools",
+    "json",
+    "operator",
+    "random",
+    "re",
+    "sys",
+    "typing",
+}
+INEXACT_CALLS = {"float", "complex", "round"}
+
+
+def _violations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            yield node.lineno, "inexact literal %r" % node.value
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in INEXACT_CALLS
+        ):
+            yield node.lineno, "call to %s()" % node.func.id
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name.split(".")[0]
+                if top != "hkcalc" and top not in STDLIB:
+                    yield node.lineno, "import of %s" % alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            top = node.module.split(".")[0]
+            if top != "hkcalc" and top not in STDLIB:
+                yield node.lineno, "import from %s" % node.module
+
+
+def test_no_floats_and_no_runtime_dependencies():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    found = [
+        "%s:%d: %s" % (path.name, lineno, what)
+        for path in sources
+        for lineno, what in _violations(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
+
+
+def test_rules_catch_each_violation():
+    bad = "x = 0.5\ny = 2j\nz = round(x)\nimport numpy\nfrom sympy import groebner\n"
+    assert sorted(lineno for lineno, _ in _violations(ast.parse(bad))) == [1, 2, 3, 4, 5]

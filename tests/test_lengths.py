@@ -4,6 +4,7 @@ import random
 import pytest
 
 import hkcalc.groebner
+import hkcalc.lengths
 from hkcalc import (
     INFINITE,
     Ideal,
@@ -106,7 +107,7 @@ def test_dimension():
     with pytest.raises(InputError):
         dimension(_ideal(ring, ["x", "x + 1"]))  # unit ideal
     cone = ring_of(5, ("x", "y", "z"), relations=("x*y - z^2",))
-    assert cone.dimension == 2
+    assert dimension(Ideal(cone, ())) == 2
     assert dimension(_ideal(cone, ["y", "z"])) == 1
 
 
@@ -315,3 +316,24 @@ def test_hilbert_samuel_survives_long_transient():
     assert hilbert_samuel(x, P).value == 1
     assert hilbert_samuel(x, P.bracket_power(5)).value == 5
     assert hilbert_samuel(x, P.bracket_power(25)).value == 25
+
+
+def test_hilbert_samuel_ladder_counts(monkeypatch):
+    """The ladder's own counts on the quadric cone, pinned here so that the
+    algorithm, not the benchmark, owns them: one local colength per rung
+    N = 1 .. stabilized_at + 1."""
+    calls = []
+
+    def counted(I):
+        calls.append(I)
+        return local_colength(I)
+
+    monkeypatch.setattr(hkcalc.lengths, "local_colength", counted)
+    cone = ring_of(5, ("x", "y", "z"), relations=("x*y - z^2",))
+    P = _ideal(cone, ["y", "z"])
+    seen = []
+    for q in (1, 5, 25):
+        calls.clear()
+        res = hilbert_samuel(cone.var(0), P.bracket_power(q))
+        seen.append((res.value, res.stabilized_at, len(calls)))
+    assert seen == [(1, 3, 4), (5, 7, 8), (25, 37, 38)]
