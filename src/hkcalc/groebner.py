@@ -151,7 +151,8 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
                 work[mm] = v
             elif mm in work:
                 del work[mm]
-    return Polynomial(ring, out.items())
+    # Terms were popped largest first, and reduction only adds smaller ones.
+    return Polynomial._canonical(ring, tuple(out.items()))
 
 
 class _TermDict:

@@ -2,17 +2,20 @@
 Hilbert-Samuel multiplicity of a parameter on a one-dimensional quotient.
 
 The global (affine) colength counts standard monomials of the leading-term
-ideal.  The local colength, at the origin, counts standard monomials of a
-standard basis for a local degree order, found by Lazard's homogenization
-(Greuel-Pfister, A Singular Introduction to Commutative Algebra, 1.7):
-the reduced basis of the homogenized ideal under grlex with the new
-variable first.  Homogeneous ideals skip that step, since both notions
-agree.
+ideal: in closed form for one and two variables, in one sweep with an
+incrementally updated planar staircase for three, and by slicing down to
+that sweep for more.  The local colength, at the origin, counts standard
+monomials of a standard basis for a local degree order, found by Lazard's
+homogenization (Greuel-Pfister, A Singular Introduction to Commutative
+Algebra, 1.7): the reduced basis of the homogenized ideal under grlex with
+the new variable first.  Homogeneous ideals skip that step, since both
+notions agree.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import CertificationError, InputError
@@ -55,16 +58,80 @@ def is_finite(value) -> bool:
 # -- staircase counting -------------------------------------------------------
 
 
+def _planar(gens):
+    """The corners and area of a staircase in two variables.
+
+    gens is sorted and holds a pure power of each variable.  The corners are
+    the points where the running minimum of the second coordinate drops:
+    first coordinates ascending, second strictly descending, from the least
+    power of the second variable to the least power of the first.  The area
+    under that step function is the number of standard monomials.
+    """
+    x, y = gens[0]
+    xs, ys = [x], [y]
+    area = 0
+    for a, b in gens:
+        if b < y:
+            area += (a - x) * y
+            x, y = a, b
+            xs.append(a)
+            ys.append(b)
+    return xs, ys, area
+
+
+def _sweep(gens):
+    """Standard monomials of a staircase in three variables, in one sweep
+    along the last one.
+
+    The slab at each level of the last variable is the planar staircase of
+    the generators at or below that level.  It is kept as its corners and
+    area and updated as each level's corners arrive, and each slab adds
+    (next level - level) * area to the volume.
+    """
+    bound = min(c for a, b, c in gens if a == b == 0)
+    corners = sorted((c, a, b) for a, b, c in gens if c < bound)
+    first = bisect_left(corners, (1,))
+    xs, ys, area = _planar([(a, b) for _, a, b in corners[:first]])
+    volume = 0
+    level = 0
+    for c, a, b in corners[first:]:
+        if c != level:
+            volume += (c - level) * area
+            level = c
+        # The last corner at or left of column a is the lowest one there.
+        t = bisect_right(xs, a) - 1
+        y = ys[t]
+        if y <= b:
+            continue  # dominated
+        # Lower the step function to height b from column a up to the first
+        # corner at or below b; the corners passed over are dominated.
+        x = a
+        u = t + 1
+        while True:
+            area -= (xs[u] - x) * (y - b)
+            if ys[u] <= b:
+                break
+            x, y = xs[u], ys[u]
+            u += 1
+        if xs[t] < a:
+            t += 1  # else corner t, in column a above b, is dominated too
+        xs[t:u] = (a,)
+        ys[t:u] = (b,)
+    return volume + (bound - level) * area
+
+
 def count_standard_monomials(lead_monomials, nvars: int):
     """Number of monomials outside the given monomial ideal, or INFINITE.
 
     The staircase is finite iff every variable has a pure power among the
-    generators.  A staircase in two variables is counted in closed form, as
-    the area under the running minimum of its corners sorted along the
-    first variable.  More variables are sliced along the variable with the
-    fewest distinct exponents; each slab between consecutive exponents is a
-    staircase in one variable fewer, counted recursively with memoization
-    on sub-staircases.
+    generators.  One and two variables are counted in closed form, two as
+    the area under the running minimum of the corners sorted along the
+    first variable.  Three variables are counted in one sweep along the
+    last, with a planar staircase updated incrementally (_sweep).  More
+    variables are sliced along the variable with the fewest distinct
+    exponents; each slab between consecutive exponents is a staircase in
+    one variable fewer, counted recursively down to the sweep, with
+    memoization on sub-staircases.
     """
     monos = {tuple(m) for m in lead_monomials}
     if (0,) * nvars in monos:
@@ -80,24 +147,19 @@ def count_standard_monomials(lead_monomials, nvars: int):
         if k == 1:
             return gens[0][0]
         if k == 2:
-            # gens[0] is the least power of the second variable; the first
-            # variable's least power ends the run with height 0.
-            area = 0
-            x, y = gens[0]
-            for a, b in gens:
-                if b < y:
-                    area += (a - x) * y
-                    x, y = a, b
-            return area
+            return _planar(gens)[2]
         value = memo.get(gens)
         if value is None:
-            j = min(range(k), key=lambda i: len({m[i] for m in gens}))
-            bound = min(m[j] for m in gens if m[j] == sum(m))
-            levels = sorted({m[j] for m in gens if m[j] < bound} | {0}) + [bound]
-            value = 0
-            for lo, hi in zip(levels, levels[1:]):
-                slab = {m[:j] + m[j + 1 :] for m in gens if m[j] <= lo}
-                value += (hi - lo) * rec(tuple(sorted(slab)), k - 1)
+            if k == 3:
+                value = _sweep(gens)
+            else:
+                j = min(range(k), key=lambda i: len({m[i] for m in gens}))
+                bound = min(m[j] for m in gens if m[j] == sum(m))
+                levels = sorted({m[j] for m in gens if m[j] < bound} | {0}) + [bound]
+                value = 0
+                for lo, hi in zip(levels, levels[1:]):
+                    slab = {m[:j] + m[j + 1 :] for m in gens if m[j] <= lo}
+                    value += (hi - lo) * rec(tuple(sorted(slab)), k - 1)
             memo[gens] = value
         return value
 

@@ -5,6 +5,14 @@ field, the variables and the monomial order.  Terms are stored as a tuple
 of (monomial, coefficient) pairs, strictly descending in the ring's order,
 so the leading term is terms[0].  Polynomials are immutable; all
 operations return new values.
+
+`Polynomial(ring, terms)` accepts any iterable of terms: it checks the
+arity, merges like monomials, reduces mod p, drops zeros and sorts.
+`Polynomial._canonical(ring, terms)` skips all of that, for kernel code
+whose terms are canonical by construction: a tuple, strictly descending in
+the ring's order, every coefficient in 1..p-1, every monomial of the
+ring's arity.  `Polynomial(ring, f.terms).terms == f.terms` holds for every
+polynomial f, however it was built.
 """
 
 from __future__ import annotations
@@ -45,6 +53,15 @@ class Polynomial:
         key = ring.order.key
         self.ring = ring
         self.terms = tuple(sorted(acc.items(), key=lambda t: key(t[0]), reverse=True))
+
+    @classmethod
+    def _canonical(cls, ring, terms: tuple):
+        """Wrap terms already in canonical form (see the module docstring),
+        unchecked."""
+        f = object.__new__(cls)
+        f.ring = ring
+        f.terms = terms
+        return f
 
     # -- predicates and accessors ---------------------------------------------
 
@@ -116,8 +133,12 @@ class Polynomial:
         return Polynomial(self.ring, acc.items())
 
     def scale(self, c: int):
-        c %= self.ring.field.p
-        return Polynomial(self.ring, tuple((m, co * c) for m, co in self.terms))
+        p = self.ring.field.p
+        c %= p
+        if not c:
+            return Polynomial._canonical(self.ring, ())
+        # p is prime, so no product of nonzero residues vanishes.
+        return Polynomial._canonical(self.ring, tuple((m, co * c % p) for m, co in self.terms))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -147,7 +168,9 @@ class Polynomial:
             raise InputError("%d is not a power of the characteristic %d" % (q, p))
         if q == 1:
             return self
-        return Polynomial(self.ring, tuple((mono_pow(m, q), c) for m, c in self.terms))
+        # Scaling every exponent by q keeps the order of lex, grlex and
+        # grevlex, so the terms stay canonical.
+        return Polynomial._canonical(self.ring, tuple((mono_pow(m, q), c) for m, c in self.terms))
 
     # -- equality and display -------------------------------------------------
 

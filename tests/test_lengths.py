@@ -77,6 +77,63 @@ def test_count_standard_monomials_vs_enumeration_random():
         assert count_standard_monomials(gens, len(bounds)) == expected, gens
 
 
+def _agrees_with_enumeration(gens):
+    bounds = tuple(max(m[i] for m in gens if m[i] == sum(m)) + 1 for i in range(len(gens[0])))
+    expected = staircase_enumeration_count(gens, bounds)
+    assert count_standard_monomials(gens, len(bounds)) == expected, gens
+
+
+def test_count_standard_monomials_sweep_edge_cases():
+    """Three-variable staircases are counted in one sweep along the last
+    variable; (a, b, c) is a corner (a, b) arriving at level c."""
+    pure = [(6, 0, 0), (0, 5, 0), (0, 0, 4)]
+    cases = [
+        # A corner with the same first coordinate as an existing one, at the
+        # left edge and inside.
+        pure + [(2, 3, 0), (0, 4, 1), (2, 1, 1)],
+        # Corners dominated when they arrive, one equal to an earlier corner.
+        pure + [(2, 3, 0), (3, 4, 1), (2, 3, 2), (6, 0, 3)],
+        # Several corners on one level, one of them dominating another.
+        pure + [(1, 4, 1), (3, 2, 1), (5, 1, 1), (4, 1, 1), (2, 2, 2), (0, 1, 3)],
+        # A corner dominating every corner between the pure powers.
+        pure + [(1, 4, 0), (2, 3, 0), (4, 1, 0), (1, 1, 2)],
+        # Duplicate generators.
+        pure + pure + [(2, 3, 1), (2, 3, 1), (1, 1, 2), (1, 1, 2)],
+        # Generators at or above the least pure power of the last variable.
+        pure + [(1, 1, 4), (0, 0, 7), (3, 0, 5), (2, 2, 2)],
+        # One corner per level, each below the one before.
+        pure + [(5, 4, 1), (4, 3, 2), (1, 1, 3)],
+    ]
+    for gens in cases:
+        _agrees_with_enumeration(gens)
+        rng = random.Random(len(gens))
+        for _ in range(5):
+            rng.shuffle(gens)
+            _agrees_with_enumeration(gens)
+
+
+def test_count_standard_monomials_slices_down_to_the_sweep(monkeypatch):
+    """Four and five variables are sliced down to three-variable sweeps."""
+    sweeps = []
+    sweep = hkcalc.lengths._sweep
+
+    def counted(gens):
+        sweeps.append(gens)
+        return sweep(gens)
+
+    monkeypatch.setattr(hkcalc.lengths, "_sweep", counted)
+    rng = random.Random(404)
+    for n in (4, 5):
+        for _ in range(15):
+            bounds = tuple(rng.randint(2, 6) for _ in range(n))
+            gens = [tuple(b if i == j else 0 for i in range(n)) for j, b in enumerate(bounds)]
+            gens += [tuple(rng.randint(0, b) for b in bounds) for _ in range(rng.randint(3, 12))]
+            gens += gens[:2]  # duplicates
+            sweeps.clear()
+            _agrees_with_enumeration(gens)
+            assert sweeps and all(len(m) == 3 for g in sweeps for m in g)
+
+
 def test_count_standard_monomials_vs_enumeration_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies

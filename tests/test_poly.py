@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from hkcalc import Ideal, InputError, Polynomial, PresentedRing, groebner_basis
+from hkcalc import (
+    Ideal,
+    InputError,
+    Polynomial,
+    PresentedRing,
+    groebner_basis,
+    normal_form,
+    s_polynomial,
+)
 from hkcalc.poly import is_power_of
 from helpers import poly_of, random_poly, ring_of
 
@@ -142,3 +150,34 @@ def test_constructor_rejects_bad_arity():
     ring = ring_of(5, ("x", "y"))
     with pytest.raises(InputError):
         Polynomial(ring, (((1, 2, 3), 1),))
+
+
+def _assert_canonical(h):
+    """h.terms is what the checking constructor makes of them."""
+    assert isinstance(h.terms, tuple)
+    assert Polynomial(h.ring, h.terms).terms == h.terms
+
+
+def test_kernel_results_are_canonical():
+    """normal_form, scale, monic and frobenius build their results without
+    the checking constructor; each must still be strictly descending in the
+    ring's order, with coefficients in 1..p-1."""
+    rng = random.Random(23)
+    for kind in ("grevlex", "grlex", "lex"):
+        for p in (2, 3, 7):
+            ring = ring_of(p, ("x", "y", "z"), kind)
+            for _ in range(40):
+                basis = [random_poly(rng, ring, max_terms=3, max_exp=2) for _ in range(2)]
+                basis = [g for g in basis if not g.is_zero()]
+                f = random_poly(rng, ring, max_terms=6, max_exp=4)
+                _assert_canonical(normal_form(f, basis))
+                gb = groebner_basis(ring, basis)
+                _assert_canonical(gb.normal_form(f))
+                if len(basis) == 2:
+                    _assert_canonical(normal_form(s_polynomial(*basis), basis))
+                for c in (0, 1, rng.randint(2, 3 * p), p, 2 * p + 1, -1):
+                    _assert_canonical(f.scale(c))
+                assert f.scale(p).is_zero() and f.scale(p + 1) == f
+                _assert_canonical(f.monic())
+                for q in (1, p, p * p):
+                    _assert_canonical(f.frobenius(q))
