@@ -192,7 +192,7 @@ def check_thm23(J: Ideal, x: Polynomial, minimal_primes, e_max: int) -> CheckRep
             )
     except InputError:
         return CheckReport(
-            "thm23", inputs, {}, INAPPLICABLE, "precondition unmet: (J, x) is the unit ideal"
+            "thm23", inputs, {}, INAPPLICABLE, "precondition unmet: (J, x) is a unit at the origin"
         )
     for P in minimal_primes:
         if not P.contains_ideal(J):

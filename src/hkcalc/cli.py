@@ -332,7 +332,7 @@ def build_arg_parser():
     _add_common(sp, ideal=True)
     sp.set_defaults(fn=_cmd_gb)
 
-    sp = sub.add_parser("dim", help="Krull dimension of ring/(relations + ideal)")
+    sp = sub.add_parser("dim", help="Krull dimension of ring/(relations + ideal) at the origin")
     _add_common(sp, ideal=True)
     sp.set_defaults(fn=lambda a: _cmd_scalar(a, dimension, "dimension"))
 

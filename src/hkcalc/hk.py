@@ -37,8 +37,8 @@ class HKReport:
 def hk_function(I: Ideal, e_max: int) -> HKReport:
     """Rows (e, q, lambda(R/I^[q]), lambda/q^d) for e = 1..e_max.
 
-    d is the dimension of the ambient ring, so the ratios converge to the
-    Hilbert-Kunz multiplicity of I.
+    d is the dimension of the local ring at the origin, so the ratios
+    converge to the Hilbert-Kunz multiplicity of I.
     """
     if e_max < 1:
         raise InputError("e_max must be at least 1")
@@ -109,9 +109,6 @@ def localized_frobenius_colength(P: Ideal, q: int, x: Polynomial) -> int:
     exact when P really is the unique minimal prime over P^[q], and a failure
     to divide is reported as such.
     """
-    ring = P.ring
-    if dimension(P) != 1:
-        raise InputError("localized Frobenius colength requires dim(R/P) = 1")
     denominator = hilbert_samuel(x, P).value
     if q == 1:
         return 1

@@ -4,12 +4,11 @@ Hilbert-Samuel multiplicity of a parameter on a one-dimensional quotient.
 The global (affine) colength counts standard monomials of the leading-term
 ideal: in closed form for one and two variables, in one sweep with an
 incrementally updated planar staircase for three, and by slicing down to
-that sweep for more.  The local colength, at the origin, counts standard
-monomials of a standard basis for a local degree order, found by Lazard's
-homogenization (Greuel-Pfister, A Singular Introduction to Commutative
-Algebra, 1.7): the reduced basis of the homogenized ideal under grlex with
-the new variable first.  Homogeneous ideals skip that step, since both
-notions agree.
+that sweep for more.  The local quantities, at the origin, read one local
+leading ideal, found by Lazard's homogenization (Greuel-Pfister, A Singular
+Introduction to Commutative Algebra, 1.7): the local colength counts its
+standard monomials, and the local ring has its dimension.  Graded ideals
+skip the homogenization, as their reduced basis gives the same values.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import CertificationError, InputError
-from .ideals import Ideal, maximal_ideal
+from .ideals import Ideal
 from .orders import MonomialOrder
 from .poly import Polynomial
 from .ring import PresentedRing
@@ -166,20 +165,51 @@ def count_standard_monomials(lead_monomials, nvars: int):
     return rec(tuple(sorted(monos)), nvars) if nvars else 1
 
 
-# -- dimension ----------------------------------------------------------------
+# -- the local leading ideal and dimension ------------------------------------
+
+
+def _is_graded(I: Ideal) -> bool:
+    """True when I and the ring's relations are generated by forms."""
+    return I.ring._graded and all(g.is_homogeneous() for g in I.generators)
+
+
+def _local_leading_monomials(I: Ideal):
+    """Generators of the local leading ideal of ring/(relations + I).
+
+    Graded ideals take their reduced basis.  Otherwise this is Lazard's
+    method: homogenize the generators and relations with a new first
+    variable t.  On forms of one degree, grlex with t first prefers the
+    higher power of t, so it homogenizes the local degree order (lower
+    degree is larger, ties by lex).  The leading monomials of the reduced
+    basis, t dropped, generate the local leading ideal.
+    """
+    if _is_graded(I):
+        return I.gb().leading_monomials
+    ring = I.ring
+    # One homogenizing ring per ring, so the bases cached on it are reused.
+    hring = ring._homogenizing
+    if hring is None:
+        # "@t" is not a session variable name, so it never clashes with one.
+        hring = PresentedRing(ring.field, ("@t",) + ring.variables, MonomialOrder("grlex"))
+        ring._homogenizing = hring
+    gens = []
+    for f in I.generators + ring.relations:
+        d = f.degree()
+        gens.append(hring.poly(((d - sum(m),) + m, c) for m, c in f.terms))
+    return [m[1:] for m in Ideal(hring, gens).gb().leading_monomials]
 
 
 def dimension(I: Ideal) -> int:
-    """Krull dimension of ring/(relations + I).
+    """Krull dimension of the local ring of ring/(relations + I) at the origin.
 
-    The largest size of a variable subset S such that no leading-term
+    That of the tangent cone, whose leading ideal is the local leading
+    ideal: the largest size of a variable subset S such that no leading
     monomial is supported entirely inside S; exhaustive over subsets.
     """
-    gb = I.gb()
-    if gb.is_unit_ideal():
-        raise InputError("empty variety: the ideal is the unit ideal")
     n = I.ring.nvars
-    supports = [frozenset(i for i in range(n) if m[i]) for m in gb.leading_monomials]
+    supports = [frozenset(i for i in range(n) if m[i]) for m in _local_leading_monomials(I)]
+    if frozenset() in supports:
+        raise InputError("empty at the origin: the ideal is a unit in the local ring")
     for size in range(n, -1, -1):
         for subset in itertools.combinations(range(n), size):
             s = frozenset(subset)
@@ -197,39 +227,16 @@ def colength(I: Ideal):
     return count_standard_monomials(gb.leading_monomials, I.ring.nvars)
 
 
-def _all_homogeneous(I: Ideal) -> bool:
-    return all(g.is_homogeneous() for g in I.generators) and all(
-        r.is_homogeneous() for r in I.ring.relations
-    )
-
-
 def local_colength(I: Ideal):
     """lambda over the localization at the origin.
 
-    Homogeneous ideals agree with the global colength.  Otherwise this is
-    Lazard's method: homogenize the generators and relations with a new
-    first variable t.  On forms of one degree, grlex with t first prefers
-    the higher power of t, so it homogenizes the local degree order (lower
-    degree is larger, ties by lex).  The leading monomials of the reduced
-    basis, t dropped, generate the local leading ideal of I, and their
-    staircase is the local length: INFINITE iff the origin is not isolated.
+    The number of standard monomials of the local leading ideal: INFINITE
+    iff the origin is not isolated, 0 iff I is a unit there.  Graded ideals
+    agree with the global colength.
     """
-    if _all_homogeneous(I):
+    if _is_graded(I):
         return colength(I)
-    ring = I.ring
-    n = ring.nvars
-    # One homogenizing ring per ring, so the bases cached on it are reused.
-    hring = ring._homogenizing
-    if hring is None:
-        # "@t" is not a session variable name, so it never clashes with one.
-        hring = PresentedRing(ring.field, ("@t",) + ring.variables, MonomialOrder("grlex"))
-        ring._homogenizing = hring
-    gens = []
-    for f in I.generators + ring.relations:
-        d = f.degree()
-        gens.append(hring.poly(((d - sum(m),) + m, c) for m, c in f.terms))
-    lead = Ideal(hring, gens).gb().leading_monomials
-    return count_standard_monomials([m[1:] for m in lead], n)
+    return count_standard_monomials(_local_leading_monomials(I), I.ring.nvars)
 
 
 def quotient_length(I: Ideal, J: Ideal):
@@ -306,6 +313,5 @@ __all__ = [
     "hilbert_samuel",
     "is_finite",
     "local_colength",
-    "maximal_ideal",
     "quotient_length",
 ]

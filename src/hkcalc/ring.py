@@ -21,6 +21,7 @@ class PresentedRing:
         "_bases",
         "_elements",
         "_homogenizing",
+        "_graded",
     )
 
     def __init__(self, field: PrimeField, variables, order: MonomialOrder, relations=()):
@@ -46,7 +47,8 @@ class PresentedRing:
         self.relations = tuple(rehomed)
         self._bases = {}  # sorted generator terms -> reduced GroebnerBasis
         self._elements = {}  # terms -> the one element of _bases with them
-        self._homogenizing = None  # built by lengths.local_colength on first use
+        self._homogenizing = None  # built by lengths on first non-graded ideal
+        self._graded = all(r.is_homogeneous() for r in self.relations)
 
     @property
     def nvars(self) -> int:

@@ -92,6 +92,25 @@ def test_local_colength_isolated_origin(capsys, tmp_path):
     assert json.loads(out)["local_colength"] == 1
 
 
+def test_local_ring_at_the_origin(capsys, tmp_path):
+    """Near the origin z - 1 is a unit, so F_5[x,y,z]/(xz - x, yz - y) is
+    F_5[z]_(z) there: regular of dimension 1.  Over F_5[x,y], x - 1 is a
+    unit at the origin, so it has no local dimension."""
+    path = tmp_path / "regular.hk"
+    path.write_text("char 5\nvars x y z\nmod x*z - x\nmod y*z - y\nideal m = x, y, z\n")
+    code, out, _ = _run(capsys, ["check", "kunz", "--in", str(path), "--q", "5,25"])
+    payload = json.loads(out)
+    assert code == 0 and payload["verdict"] == "PASS" and payload["quantities"]["d"] == 1
+    code, out, _ = _run(capsys, ["hk", "--in", str(path), "--ideal", "m", "--emax", "2"])
+    payload = json.loads(out)
+    assert code == 0 and payload["d"] == 1
+    assert [row["ratio"] for row in payload["rows"]] == [{"num": "1", "den": "1"}] * 2
+    unit = tmp_path / "unit.hk"
+    unit.write_text("char 5\nvars x y\nideal U = x - 1\n")
+    code, _, _ = _run(capsys, ["dim", "--in", str(unit), "--ideal", "U"])
+    assert code == 2
+
+
 def test_gb_and_order_override(capsys, session_file):
     code, out, _ = _run(capsys, ["gb", "--in", session_file, "--ideal", "J"])
     assert code == 0

@@ -155,17 +155,47 @@ def test_count_standard_monomials_vs_enumeration_property():
     agrees()
 
 
+def _oracle_dimension(I, window=range(1, 9)):
+    """The degree of N -> dim R/(I + m^N) over a window of N, by the numpy
+    truncation oracle: its d-th difference is positive and constant there,
+    so its (d+1)-th is 0."""
+    ring = I.ring
+    gens_terms = [list(g.terms) for g in I.generators + ring.relations]
+    values = [local_colength_truncated(ring.field.p, ring.nvars, gens_terms, N) for N in window]
+    d = 0
+    while len(set(values)) > 1:
+        values = [b - a for a, b in zip(values, values[1:])]
+        d += 1
+    assert len(values) >= 2 and values[0] > 0, (I, d, values)
+    return d
+
+
 def test_dimension():
+    """The dimension of the local ring at the origin, checked by the oracle."""
     ring = ring_of(5, ("x", "y", "z"))
-    assert dimension(Ideal(ring, ())) == 3
-    assert dimension(_ideal(ring, ["x"])) == 2
-    assert dimension(_ideal(ring, ["x", "y^2"])) == 1
-    assert dimension(maximal_ideal(ring)) == 0
+    cone = ring_of(5, ("x", "y", "z"), relations=("x*y - z^2",))
+    cubic = ring_of(5, ("x", "y", "z"), relations=("x*y - z^3",))
+    # Near the origin z - 1 is a unit, so this is F_5[z]_(z), regular of dimension 1.
+    regular = ring_of(5, ("x", "y", "z"), relations=("x*z - x", "y*z - y"))
+    cases = [
+        (ring, [], 3),
+        (ring, ["x"], 2),
+        (ring, ["x", "y^2"], 1),
+        (ring, ["x", "y", "z"], 0),
+        (ring, ["x*z - x"], 2),  # locally the plane x = 0
+        (cone, [], 2),
+        (cone, ["y", "z"], 1),
+        (cubic, [], 2),  # not standard-graded: the local route
+        (cubic, ["y", "z"], 1),
+        (regular, [], 1),
+    ]
+    for R, texts, expected in cases:
+        I = _ideal(R, texts)
+        assert dimension(I) == expected == _oracle_dimension(I), (R, texts)
     with pytest.raises(InputError):
         dimension(_ideal(ring, ["x", "x + 1"]))  # unit ideal
-    cone = ring_of(5, ("x", "y", "z"), relations=("x*y - z^2",))
-    assert dimension(Ideal(cone, ())) == 2
-    assert dimension(_ideal(cone, ["y", "z"])) == 1
+    with pytest.raises(InputError):
+        dimension(_ideal(ring_of(5, ("x", "y")), ["x - 1"]))  # a unit at the origin
 
 
 def test_colength_examples():
@@ -321,6 +351,50 @@ def test_local_colength_nonhomogeneous_relation():
         I = _ideal(ring, texts)
         gens_terms = [list(g.terms) for g in I.generators + ring.relations]
         assert _assert_truncation_agrees(I, gens_terms) == expected
+
+
+def test_dimension_zero_exactly_when_local_colength_finite():
+    """On non-graded ideals the local ring has dimension 0 iff the local
+    colength is finite; a unit at the origin has local colength 0 and no
+    dimension.  The ideals are those of the local-colength oracle tests,
+    with one generator alone for the positive-dimensional side."""
+    cubic = ring_of(7, ("x", "y", "z"), relations=("x*y - z^3",))
+    line = ring_of(7, ("x", "y"), relations=("x*y - x",))
+    plane = ring_of(7, ("x", "y"))
+    ideals = [
+        _ideal(ring_of(7, ("x",)), ["x^2 - x"]),
+        _ideal(ring_of(7, ("x",)), ["x^3 - x^2"]),
+        _ideal(plane, ["x*y - x", "y^2 - y"]),
+        _ideal(plane, ["x*y - x", "y^3 - y^2"]),
+        _ideal(plane, ["x*y - x"]),
+        _ideal(plane, ["x^2 - y^3", "y^4"]),
+        _ideal(cubic, ["x^2", "y^2", "z^2"]),
+        _ideal(cubic, ["x - y^2 + 3*z^2", "y^2 + 2*x*z"]),
+        _ideal(cubic, ["x - y^2 + 3*z^2"]),
+        _ideal(line, ["y^2 - y"]),
+        _ideal(line, []),
+    ]
+    rng = random.Random(202)
+    units = random.Random(303)
+    for trial in range(12):
+        ring = ring_of(7, ("x", "y", "z")) if trial % 2 else plane
+        degrees = [2, 2, 2] if trial % 2 else [rng.randint(2, 4) for _ in range(2)]
+        I = _random_zero_dim_ideal(rng, ring, degrees)
+        h = _unit_at_origin(units, ring)
+        ideals += [I, I.product(Ideal(ring, [h])), Ideal(ring, I.generators[:1]), Ideal(ring, [h])]
+    seen = set()
+    for I in ideals:
+        if all(g.is_homogeneous() for g in I.generators + I.ring.relations):
+            continue
+        local = local_colength(I)
+        if local == 0:
+            with pytest.raises(InputError):
+                dimension(I)
+            seen.add("unit")
+        else:
+            assert (dimension(I) == 0) == is_finite(local), I
+            seen.add(is_finite(local))
+    assert seen == {"unit", True, False}
 
 
 def test_quotient_length():
