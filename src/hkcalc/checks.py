@@ -236,16 +236,15 @@ def check_thm33(P: Ideal, x: Polynomial, q_list) -> CheckReport:
         "param": x.render(),
         "q": [int(q) for q in q_list],
     }
-    if dimension(P) != 1:
-        return CheckReport(
-            "thm33", inputs, {}, INAPPLICABLE, "precondition unmet: dim(R/P) != 1"
-        )
     d = dimension(Ideal(ring, ()))
     m = maximal_ideal(ring)
     quantities = {"d": d, "t": 1}
     ok = True
     for q in q_list:
-        lfc = localized_frobenius_colength(P, q, x)
+        try:
+            lfc = localized_frobenius_colength(P, q, x)
+        except InputError as exc:  # dim(R/P) != 1, or x not a parameter on R/P
+            return CheckReport("thm33", inputs, {}, INAPPLICABLE, "precondition unmet: %s" % exc)
         rhs = local_colength(m.bracket_power(q))
         lhs = q * lfc
         quantities["localized_colength_q%d" % q] = lfc

@@ -1,8 +1,13 @@
 """Command-line interface.
 
 Verbs: gb, dim, colength, local-colength, mult, hk, ehk, check, corpus.
-Results go to stdout as JSON (default) or CSV (--format csv); diagnostics
-go to stderr.  Exit codes: 0 success/PASS, 1 a check FAILED, 2 input error,
+Each verb writes one result to stdout, as JSON (default) or CSV (--format
+csv); diagnostics go to stderr.  The CSV of dim, colength, local-colength
+and mult is one row: the JSON fields after "ring".  The other verbs print a
+table: gb one row per basis element, hk one per q, ehk its three fractions
+as _num/_den columns and its method, check one per quantity, corpus one per
+fixture.  Exit codes: 0 success/PASS, 1 a check FAILED, 2 input error or a
+check INAPPLICABLE (thm33 included, when x is not a parameter on R/P),
 3 resource limit, 4 stabilization/certification failure.
 """
 
@@ -10,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -29,14 +33,7 @@ from .checks import (
 from .errors import CertificationError, InputError, ResourceLimitError
 from .fixtures import corpus, fixture_by_id
 from .hk import ehk_estimate, hk_function
-from .lengths import (
-    INFINITE,
-    colength,
-    dimension,
-    hilbert_samuel,
-    is_finite,
-    local_colength,
-)
+from .lengths import INFINITE, colength, dimension, hilbert_samuel, local_colength
 from .orders import ORDER_KINDS
 from .parser import parse_session
 
@@ -61,34 +58,36 @@ def _jsonable(value):
     return str(value)
 
 
-def _emit_json(payload):
-    sys.stdout.write(json.dumps(_jsonable(payload), indent=2) + "\n")
-
-
-def _emit_csv(header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _emit(args, payload, header=None, rows=None):
+    """Write a verb's one result to stdout: the payload as JSON, or as CSV
+    the given table; with no table, one row of the payload's fields after
+    "ring", which comes first."""
+    if args.format == "json":
+        sys.stdout.write(json.dumps(_jsonable(payload), indent=2) + "\n")
+        return
+    if rows is None:
+        header = list(payload)[1:]
+        rows = [[payload[key] for key in header]]
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    sys.stdout.write(buf.getvalue())
-
-
-def _length_str(value):
-    return "INFINITE" if not is_finite(value) else str(value)
+    writer.writerows(rows)
 
 
 def _load_session(args):
+    """The session read from --in, and its ring built with --order."""
     try:
         with open(args.infile, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (args.infile, exc)) from None
-    return parse_session(text)
+    session = parse_session(text)
+    return session, session.build_ring(order_kind=args.order)
 
 
-def _ring(session, args):
-    return session.build_ring(order_kind=getattr(args, "order", None))
+def _ideal(args):
+    """The session, its ring, and the ideal named by --ideal."""
+    session, ring = _load_session(args)
+    return session, ring, session.ideal(args.ideal, ring)
 
 
 def _q_list(raw):
@@ -101,59 +100,30 @@ def _q_list(raw):
     return qs
 
 
-def _check_report_out(report, args):
-    payload = report.to_dict()
-    if args.format == "csv":
-        rows = [(payload["check"], payload["verdict"], "detail", payload["detail"])]
-        for key, value in payload["quantities"].items():
-            if isinstance(value, dict):  # exact rational
-                value = "%s/%s" % (value["num"], value["den"])
-            rows.append((payload["check"], payload["verdict"], key, value))
-        _emit_csv(("check", "verdict", "key", "value"), rows)
-    else:
-        _emit_json(payload)
-    if report.verdict == FAIL:
-        return EXIT_CHECK_FAILED
-    if report.verdict == INAPPLICABLE:
-        print("inapplicable: %s" % report.detail, file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    return EXIT_OK
+def _hk_rows(report):
+    return [{"e": r.e, "q": r.q, "colength": r.colength, "ratio": r.ratio} for r in report.rows]
 
 
 # -- verb implementations -----------------------------------------------------
 
 
 def _cmd_gb(args):
-    session = _load_session(args)
-    ring = _ring(session, args)
-    ideal = session.ideal(args.ideal, ring)
-    basis = ideal.gb()
-    polys = [g.render() for g in basis.elements]
-    if args.format == "csv":
-        _emit_csv(("index", "polynomial"), list(enumerate(polys)))
-    else:
-        _emit_json({"ring": repr(ring), "ideal": args.ideal, "basis": polys})
+    _, ring, ideal = _ideal(args)
+    polys = [g.render() for g in ideal.gb().elements]
+    payload = {"ring": repr(ring), "ideal": args.ideal, "basis": polys}
+    _emit(args, payload, ("index", "polynomial"), enumerate(polys))
     return EXIT_OK
 
 
 def _cmd_scalar(args, fn, label):
-    session = _load_session(args)
-    ring = _ring(session, args)
-    ideal = session.ideal(args.ideal, ring)
-    value = fn(ideal)
-    if args.format == "csv":
-        _emit_csv(("ideal", label), [(args.ideal, _length_str(value))])
-    else:
-        _emit_json({"ring": repr(ring), "ideal": args.ideal, label: value})
+    _, ring, ideal = _ideal(args)
+    _emit(args, {"ring": repr(ring), "ideal": args.ideal, label: fn(ideal)})
     return EXIT_OK
 
 
 def _cmd_mult(args):
-    session = _load_session(args)
-    ring = _ring(session, args)
-    ideal = session.ideal(args.ideal, ring)
-    x = session.param(args.param, ring)
-    result = hilbert_samuel(x, ideal)
+    session, ring, ideal = _ideal(args)
+    result = hilbert_samuel(session.param(args.param, ring), ideal)
     payload = {
         "ring": repr(ring),
         "ideal": args.ideal,
@@ -162,89 +132,48 @@ def _cmd_mult(args):
         "stabilized_at": result.stabilized_at,
         "certified": result.certified,
     }
-    if args.format == "csv":
-        _emit_csv(
-            ("ideal", "param", "multiplicity", "stabilized_at", "certified"),
-            [(args.ideal, args.param, result.value, result.stabilized_at, result.certified)],
-        )
-    else:
-        _emit_json(payload)
+    _emit(args, payload)
     return EXIT_OK
 
 
-def _hk_rows_csv(report):
-    return [
-        (row.e, row.q, row.colength, row.ratio.numerator, row.ratio.denominator)
-        for row in report.rows
-    ]
-
-
 def _cmd_hk(args):
-    session = _load_session(args)
-    ring = _ring(session, args)
-    ideal = session.ideal(args.ideal, ring)
+    _, ring, ideal = _ideal(args)
     report = hk_function(ideal, args.emax)
-    if args.format == "csv":
-        _emit_csv(("e", "q", "colength", "ratio_num", "ratio_den"), _hk_rows_csv(report))
-    else:
-        _emit_json(
-            {
-                "ring": report.ring_desc,
-                "ideal": args.ideal,
-                "d": report.d,
-                "rows": [
-                    {"e": r.e, "q": r.q, "colength": r.colength, "ratio": r.ratio}
-                    for r in report.rows
-                ],
-                "estimate": report.estimate if report.estimate is not None else "ABSENT",
-                "estimate_method": report.estimate_method,
-            }
-        )
+    payload = {
+        "ring": repr(ring),
+        "ideal": args.ideal,
+        "d": report.d,
+        "rows": _hk_rows(report),
+        "estimate": report.estimate if report.estimate is not None else "ABSENT",
+        "estimate_method": report.estimate_method,
+    }
+    rows = [(r.e, r.q, r.colength, *r.ratio.as_integer_ratio()) for r in report.rows]
+    _emit(args, payload, ("e", "q", "colength", "ratio_num", "ratio_den"), rows)
     return EXIT_OK
 
 
 def _cmd_ehk(args):
-    session = _load_session(args)
-    ring = _ring(session, args)
-    ideal = session.ideal(args.ideal, ring)
+    _, ring, ideal = _ideal(args)
     est = ehk_estimate(ideal, args.emax)
-    if args.format == "csv":
-        _emit_csv(
-            ("estimate_num", "estimate_den", "last_ratio_num", "last_ratio_den", "gap_num", "gap_den", "method"),
-            [
-                (
-                    est.estimate.numerator,
-                    est.estimate.denominator,
-                    est.last_ratio.numerator,
-                    est.last_ratio.denominator,
-                    est.gap.numerator,
-                    est.gap.denominator,
-                    est.method,
-                )
-            ],
-        )
-    else:
-        _emit_json(
-            {
-                "ring": est.report.ring_desc,
-                "ideal": args.ideal,
-                "d": est.report.d,
-                "estimate": est.estimate,
-                "last_ratio": est.last_ratio,
-                "gap": est.gap,
-                "method": est.method,
-                "rows": [
-                    {"e": r.e, "q": r.q, "colength": r.colength, "ratio": r.ratio}
-                    for r in est.report.rows
-                ],
-            }
-        )
+    payload = {
+        "ring": repr(ring),
+        "ideal": args.ideal,
+        "d": est.report.d,
+        "estimate": est.estimate,
+        "last_ratio": est.last_ratio,
+        "gap": est.gap,
+        "method": est.method,
+        "rows": _hk_rows(est.report),
+    }
+    fractions = ("estimate", "last_ratio", "gap")
+    header = [name + part for name in fractions for part in ("_num", "_den")] + ["method"]
+    row = [n for name in fractions for n in payload[name].as_integer_ratio()] + [est.method]
+    _emit(args, payload, header, [row])
     return EXIT_OK
 
 
 def _cmd_check(args):
-    session = _load_session(args)
-    ring = _ring(session, args)
+    session, ring = _load_session(args)
     which = args.which
     if which == "kunz":
         report = check_kunz(ring, _q_list(args.q))
@@ -260,11 +189,8 @@ def _cmd_check(args):
             _q_list(args.q),
         )
     elif which == "thm23":
-        primes = []
-        if args.primes:
-            for name in args.primes.split(","):
-                prime, _height = session.prime(name.strip(), ring)
-                primes.append(prime)
+        names = args.primes.split(",") if args.primes else []
+        primes = [session.prime(name.strip(), ring)[0] for name in names]
         report = check_thm23(
             session.ideal(args.ideal_j, ring),
             session.param(args.param, ring),
@@ -274,41 +200,44 @@ def _cmd_check(args):
     elif which == "thm33":
         prime, _height = session.prime(args.prime, ring)
         report = check_thm33(prime, session.param(args.param, ring), _q_list(args.q))
-    elif which == "rescaling":
+    else:  # rescaling: argparse admits no other choice
         report = check_rescaling(ring, args.e)
-    else:
-        raise InputError("unknown check %r" % which)
-    return _check_report_out(report, args)
+    payload = report.to_dict()
+    cells = [("detail", payload["detail"])] + [
+        # an exact rational prints as n/d
+        (key, "%s/%s" % (value["num"], value["den"]) if isinstance(value, dict) else value)
+        for key, value in payload["quantities"].items()
+    ]
+    rows = [(payload["check"], payload["verdict"], key, value) for key, value in cells]
+    _emit(args, payload, ("check", "verdict", "key", "value"), rows)
+    if report.verdict == FAIL:
+        return EXIT_CHECK_FAILED
+    if report.verdict == INAPPLICABLE:
+        print("inapplicable: %s" % report.detail, file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    return EXIT_OK
 
 
 def _cmd_corpus(args):
     if args.action == "list":
-        items = [
-            {"fixture": f.fixture_id, "description": f.description} for f in corpus()
-        ]
-        if args.format == "csv":
-            _emit_csv(("fixture", "description"), [(i["fixture"], i["description"]) for i in items])
-        else:
-            _emit_json({"fixtures": items})
+        items = [{"fixture": f.fixture_id, "description": f.description} for f in corpus()]
+        _emit(args, {"fixtures": items}, ("fixture", "description"), [i.values() for i in items])
         return EXIT_OK
     if not args.all and not args.id:
         raise InputError("corpus run needs --all or --id <fixture>")
     fixtures = corpus() if args.all else [fixture_by_id(args.id)]
     results = [f.run(seed=args.seed) for f in fixtures]
-    passed = all(r["passed"] for r in results)
+    passed = sum(1 for r in results if r["passed"])
     payload = {
         "seed": args.seed,
         "total": len(results),
-        "passed": sum(1 for r in results if r["passed"]),
-        "failed": sum(1 for r in results if not r["passed"]),
+        "passed": passed,
+        "failed": len(results) - passed,
         "results": results,
     }
-    if args.format == "csv":
-        rows = [(r["fixture"], "PASS" if r["passed"] else "FAIL") for r in results]
-        _emit_csv(("fixture", "status"), rows)
-    else:
-        _emit_json(payload)
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    rows = [(r["fixture"], "PASS" if r["passed"] else "FAIL") for r in results]
+    _emit(args, payload, ("fixture", "status"), rows)
+    return EXIT_OK if passed == len(results) else EXIT_CHECK_FAILED
 
 
 # -- argument parsing ---------------------------------------------------------

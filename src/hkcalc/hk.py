@@ -27,7 +27,6 @@ class HKRow:
 
 @dataclass(frozen=True)
 class HKReport:
-    ring_desc: str
     d: int
     rows: tuple
     estimate: Optional[Fraction]
@@ -60,13 +59,7 @@ def hk_function(I: Ideal, e_max: int) -> HKReport:
         estimate, method = rows[0].ratio, "exact-stationary"
     else:
         estimate, method = None, "absent"
-    return HKReport(
-        ring_desc=repr(ring),
-        d=d,
-        rows=tuple(rows),
-        estimate=estimate,
-        estimate_method=method,
-    )
+    return HKReport(d=d, rows=tuple(rows), estimate=estimate, estimate_method=method)
 
 
 @dataclass(frozen=True)

@@ -144,6 +144,16 @@ def test_thm33_inapplicable():
     assert report.verdict == "INAPPLICABLE"
 
 
+def test_thm33_non_parameter_inapplicable():
+    """z is not a parameter on R/(y, z), so thm33 reports, not raises."""
+    cone = ring_of(5, ("x", "y", "z"), relations=("x*y - z^2",))
+    report = check_thm33(_ideal(cone, ["y", "z"]), cone.var(2), [5])
+    assert report.verdict == "INAPPLICABLE"
+    assert report.detail == "precondition unmet: the given element is not a parameter on R/J"
+    with pytest.raises(InputError):
+        check_thm33(_ideal(cone, ["y", "z"]), cone.var(2), [6])
+
+
 def test_rescaling():
     cone = ring_of(5, ("x", "y", "z"), relations=("x*y - z^2",))
     report = check_rescaling(cone, 1)

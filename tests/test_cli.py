@@ -191,6 +191,19 @@ def test_exit_code_inapplicable(capsys, session_file):
     assert "inapplicable" in err
 
 
+def test_thm33_non_parameter_reported(capsys, tmp_path):
+    path = tmp_path / "quadric.hk"
+    path.write_text(QUADRIC + "param g = z\n")
+    code, out, err = _run(
+        capsys, ["check", "thm33", "--in", str(path), "--prime", "P", "--param", "g", "--q", "5"]
+    )
+    detail = "precondition unmet: the given element is not a parameter on R/J"
+    assert code == 2
+    assert json.loads(out)["verdict"] == "INAPPLICABLE"
+    assert json.loads(out)["detail"] == detail
+    assert err == "inapplicable: %s\n" % detail
+
+
 def test_exit_code_check_failed(capsys, session_file, monkeypatch):
     failing = CheckReport("kunz", {}, {}, "FAIL", "synthetic failure")
     monkeypatch.setattr(cli, "check_kunz", lambda ring, qs: failing)
@@ -251,3 +264,235 @@ def test_corpus_output_pinned_at_seed_42(capsys):
     data = out.encode("utf-8")
     assert len(data) == 100210
     assert hashlib.sha256(data).hexdigest().startswith("4eec81ab9d9b928f")
+
+
+# -- golden output ------------------------------------------------------------
+
+# Near the origin y - 1 is a unit, so (xy - x, y^2 - y) is m locally, x - 1
+# is a unit there, and (x^2 + y^3, xy) is m-primary but not graded.
+NON_GRADED = """\
+char 5
+vars x y
+ideal I = x*y - x, y^2 - y
+ideal U = x - 1
+ideal K = x^2 + y^3, x*y
+ideal m = x, y
+ideal L = x^2 + y^3
+prime C = x^2 + y^3 height 1
+prime Q = x height 1
+param g = y
+param h = x
+"""
+
+GOLDEN_SESSIONS = {"quadric": QUADRIC, "non-graded": NON_GRADED}
+
+# "<session> <argv>" (session "-" takes no --in) -> {format: (exit code,
+# sha256 prefix of stdout, stderr)}.  Every verb is pinned in both formats.
+GOLDEN = {
+    "quadric gb --ideal J": {
+        "json": (0, "0d64d94e8ab00f79", ""),
+        "csv": (0, "fa040c725b4595d0", ""),
+    },
+    "quadric gb --ideal J --order lex": {
+        "json": (0, "0d64d94e8ab00f79", ""),
+        "csv": (0, "fa040c725b4595d0", ""),
+    },
+    "non-graded gb --ideal K --order lex": {
+        "json": (0, "20f9ecaa0bd1bc02", ""),
+        "csv": (0, "8cc236960afa01fb", ""),
+    },
+    "quadric gb --ideal m": {
+        "json": (0, "d7e9961fbf3777eb", ""),
+        "csv": (0, "22e78dbd230f32f5", ""),
+    },
+    "quadric dim --ideal J": {
+        "json": (0, "9efc4eb1a306c904", ""),
+        "csv": (0, "ba6e2226c5493bfc", ""),
+    },
+    "quadric dim --ideal m": {
+        "json": (0, "a7ece0d8eb79f4c1", ""),
+        "csv": (0, "b2164c9578b2ed7e", ""),
+    },
+    "quadric dim --ideal missing": {
+        "json": (2, "e3b0c44298fc1c14", "error: unknown ideal 'missing'\n"),
+        "csv": (2, "e3b0c44298fc1c14", "error: unknown ideal 'missing'\n"),
+    },
+    "quadric colength --ideal m": {
+        "json": (0, "20a04117521df162", ""),
+        "csv": (0, "12f722f7ac5d2038", ""),
+    },
+    "quadric colength --ideal J": {
+        "json": (0, "824d54809ca10d2d", ""),
+        "csv": (0, "2554c89c733ecdf8", ""),
+    },
+    "quadric local-colength --ideal J": {
+        "json": (0, "bf067e9173a16471", ""),
+        "csv": (0, "2890cebcaa3d07c3", ""),
+    },
+    "quadric local-colength --ideal I2": {
+        "json": (0, "c106c9762ccb5fb1", ""),
+        "csv": (0, "be6cb324eadf8060", ""),
+    },
+    "quadric mult --ideal J --param f": {
+        "json": (0, "ae07f4846e4bab9d", ""),
+        "csv": (0, "6bbaa1ef94f213d0", ""),
+    },
+    "quadric hk --ideal m --emax 1": {
+        "json": (0, "9f28b023ec13374c", ""),
+        "csv": (0, "9fd19852f19017b8", ""),
+    },
+    "quadric hk --ideal m --emax 2": {
+        "json": (0, "c7ffbdd2b6750a55", ""),
+        "csv": (0, "c050841c0aa7a830", ""),
+    },
+    "quadric hk --ideal m --emax 3": {
+        "json": (0, "b7e426e535e43ecb", ""),
+        "csv": (0, "cb8a9635b9306bfe", ""),
+    },
+    "quadric ehk --ideal m --emax 1": {
+        "json": (2, "e3b0c44298fc1c14", "error: ehk_estimate needs e_max >= 2\n"),
+        "csv": (2, "e3b0c44298fc1c14", "error: ehk_estimate needs e_max >= 2\n"),
+    },
+    "quadric ehk --ideal m --emax 2": {
+        "json": (0, "37e96c2937672dd7", ""),
+        "csv": (0, "5a7db7346e3ff0d8", ""),
+    },
+    "quadric ehk --ideal m --emax 3": {
+        "json": (0, "7918b7e2e427ed5c", ""),
+        "csv": (0, "4d42018f0292c893", ""),
+    },
+    "quadric check kunz --q 5,25": {
+        "json": (0, "6fafef3ff51c4039", ""),
+        "csv": (0, "8739b25d94b8cfdb", ""),
+    },
+    "quadric check flatness --ideal m --q 5": {
+        "json": (2, "ccec1d6d1906f810", "inapplicable: precondition unmet: the ring has relations (not the regular model)\n"),
+        "csv": (2, "8921de35446171cd", "inapplicable: precondition unmet: the ring has relations (not the regular model)\n"),
+    },
+    "quadric check lemma21 --ideal I2 --ideal-j m --q 5": {
+        "json": (0, "33d226585de58dee", ""),
+        "csv": (0, "aea40275328b5347", ""),
+    },
+    "quadric check thm23 --ideal-j J --param f --primes P --emax 2": {
+        "json": (0, "b5722f9b2e901cb1", ""),
+        "csv": (0, "a4fe9b6f067215d1", ""),
+    },
+    "quadric check thm33 --prime P --param f --q 5,25": {
+        "json": (0, "bf22f742e6dc9e32", ""),
+        "csv": (0, "1be5ec72324f1c7d", ""),
+    },
+    "quadric check rescaling --e 1": {
+        "json": (0, "d5f178e93c634977", ""),
+        "csv": (0, "4ae86dea01f56432", ""),
+    },
+    "non-graded gb --ideal I": {
+        "json": (0, "d857bbd0e75639b6", ""),
+        "csv": (0, "3ba654f705e6a02b", ""),
+    },
+    "non-graded gb --ideal K": {
+        "json": (0, "0d66c687b85ee621", ""),
+        "csv": (0, "31b494c0dc3e43e8", ""),
+    },
+    "non-graded dim --ideal I": {
+        "json": (0, "538fb0ac326b9fd2", ""),
+        "csv": (0, "7269f0443fb5e80e", ""),
+    },
+    "non-graded dim --ideal U": {
+        "json": (2, "e3b0c44298fc1c14", "error: empty at the origin: the ideal is a unit in the local ring\n"),
+        "csv": (2, "e3b0c44298fc1c14", "error: empty at the origin: the ideal is a unit in the local ring\n"),
+    },
+    "non-graded dim --ideal K": {
+        "json": (0, "854c4f1f83ad151d", ""),
+        "csv": (0, "2e6ba704918a0290", ""),
+    },
+    "non-graded colength --ideal I": {
+        "json": (0, "a09cde1ba6caa301", ""),
+        "csv": (0, "76d5eacdfed53797", ""),
+    },
+    "non-graded colength --ideal K": {
+        "json": (0, "599214b8be3b8a72", ""),
+        "csv": (0, "028b78e8ba66687b", ""),
+    },
+    "non-graded local-colength --ideal I": {
+        "json": (0, "2b9e8b4c5b6fbfd4", ""),
+        "csv": (0, "16b2fbc247ead8f6", ""),
+    },
+    "non-graded local-colength --ideal U": {
+        "json": (0, "58fd32d13bc7da0d", ""),
+        "csv": (0, "d2ee6fd630475bd9", ""),
+    },
+    "non-graded local-colength --ideal K": {
+        "json": (0, "fc82f5cffee922f9", ""),
+        "csv": (0, "7878be1e621b0efc", ""),
+    },
+    "non-graded mult --ideal L --param g": {
+        "json": (0, "2c810f35a2cf5373", ""),
+        "csv": (0, "c307be4c79c66fd2", ""),
+    },
+    "non-graded hk --ideal K --emax 2": {
+        "json": (0, "a7ec7732fdd68661", ""),
+        "csv": (0, "7d731fb8376d4fa3", ""),
+    },
+    "non-graded hk --ideal m --emax 3": {
+        "json": (0, "bacef74dc3778a30", ""),
+        "csv": (0, "34604686ca5477bd", ""),
+    },
+    "non-graded ehk --ideal K --emax 2": {
+        "json": (0, "dbe3990417971566", ""),
+        "csv": (0, "d8fa07c2e5b2bc4b", ""),
+    },
+    "non-graded ehk --ideal I --emax 3": {
+        "json": (0, "8f22089351251a36", ""),
+        "csv": (0, "35dd287c61f2da92", ""),
+    },
+    "non-graded check kunz --q 5,25": {
+        "json": (0, "eed805a6caa41f0a", ""),
+        "csv": (0, "bd6b36869fa67910", ""),
+    },
+    "non-graded check flatness --ideal K --q 5": {
+        "json": (0, "a363d1c748172437", ""),
+        "csv": (0, "293e7e4985b18f30", ""),
+    },
+    "non-graded check lemma21 --ideal K --ideal-j m --q 5": {
+        "json": (0, "33c17de184da3b02", ""),
+        "csv": (0, "db7a586422dde792", ""),
+    },
+    "non-graded check thm23 --ideal-j L --param h --primes C --emax 2": {
+        "json": (0, "88b80d6c2e3cbf90", ""),
+        "csv": (0, "be9a1cf3f88187f2", ""),
+    },
+    "non-graded check thm33 --prime Q --param g --q 5": {
+        "json": (0, "fabe0ffaae0ee65e", ""),
+        "csv": (0, "c58577b83c4a5f84", ""),
+    },
+    "non-graded check rescaling --e 1": {
+        "json": (0, "2e560865f4187ddb", ""),
+        "csv": (0, "6a1a8a0b5ed85dac", ""),
+    },
+    "- corpus list": {
+        "json": (0, "4d6d66129652f389", ""),
+        "csv": (0, "0aed4b711614dc9b", ""),
+    },
+    "- corpus run --id regular-2d-p3": {
+        "json": (0, "9af832fa1084600a", ""),
+        "csv": (0, "4a2dcf0e6d079f22", ""),
+    },
+    "- corpus run --id flatness-random-p5 --seed 7": {
+        "json": (0, "fbf4a19bc1c85362", ""),
+        "csv": (0, "70cd61fa26ad1f16", ""),
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "case, fmt", [(case, fmt) for case in GOLDEN for fmt in ("json", "csv")]
+)
+def test_golden_output(capsys, tmp_path, case, fmt):
+    session, *argv = case.split()
+    if session != "-":
+        path = tmp_path / ("%s.hk" % session)
+        path.write_text(GOLDEN_SESSIONS[session])
+        argv += ["--in", str(path)]
+    code, out, err = _run(capsys, argv + ["--format", fmt])
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()[:16]
+    assert (code, digest, err) == GOLDEN[case][fmt]

@@ -1,4 +1,5 @@
-"""The package keeps its arithmetic exact and its dependencies to the stdlib.
+"""The package keeps its arithmetic exact and its dependencies to the stdlib,
+and only the CLI writes to stdout or stderr.
 
 Every module under src/hkcalc is parsed, not imported, so the rule holds for
 code paths no other test reaches.
@@ -28,9 +29,30 @@ STDLIB = {
     "typing",
 }
 INEXACT_CALLS = {"float", "complex", "round"}
+STREAMS = {"stdout", "stderr"}
+# The one module that may write output, so stdout has one writer.
+WRITER = "cli.py"
 
 
-def _violations(tree):
+def _writes(tree):
+    """Uses of print, sys.stdout and sys.stderr."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "print":
+            yield node.lineno, "use of print"
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in STREAMS
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "sys"
+        ):
+            yield node.lineno, "use of sys.%s" % node.attr
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            for alias in node.names:
+                if alias.name in STREAMS:
+                    yield node.lineno, "import of sys.%s" % alias.name
+
+
+def _violations(tree, may_write=False):
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
             yield node.lineno, "inexact literal %r" % node.value
@@ -49,6 +71,8 @@ def _violations(tree):
             top = node.module.split(".")[0]
             if top != "hkcalc" and top not in STDLIB:
                 yield node.lineno, "import from %s" % node.module
+    if not may_write:
+        yield from _writes(tree)
 
 
 def test_no_floats_and_no_runtime_dependencies():
@@ -57,11 +81,16 @@ def test_no_floats_and_no_runtime_dependencies():
     found = [
         "%s:%d: %s" % (path.name, lineno, what)
         for path in sources
-        for lineno, what in _violations(ast.parse(path.read_text(), str(path)))
+        for lineno, what in _violations(
+            ast.parse(path.read_text(), str(path)), may_write=path.name == WRITER
+        )
     ]
     assert found == []
 
 
 def test_rules_catch_each_violation():
     bad = "x = 0.5\ny = 2j\nz = round(x)\nimport numpy\nfrom sympy import groebner\n"
-    assert sorted(lineno for lineno, _ in _violations(ast.parse(bad))) == [1, 2, 3, 4, 5]
+    output = "print(x)\nsys.stdout.write(y)\nf(file=sys.stderr)\nfrom sys import stderr\n"
+    tree = ast.parse(bad + output)
+    assert sorted(lineno for lineno, _ in _violations(tree)) == [1, 2, 3, 4, 5, 6, 7, 8, 9]
+    assert sorted(lineno for lineno, _ in _violations(tree, may_write=True)) == [1, 2, 3, 4, 5]
