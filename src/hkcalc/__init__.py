@@ -37,6 +37,6 @@ from .lengths import (
 from .orders import MonomialOrder
 from .parser import SessionInput, parse_polynomial, parse_session
 from .poly import Polynomial
-from .ring import PresentedRing
+from .ring import PolynomialRing, PresentedRing
 
 __version__ = "0.1.0"

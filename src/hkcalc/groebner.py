@@ -19,7 +19,7 @@ from operator import add, sub
 
 from .errors import InputError, ResourceLimitError
 from .poly import Polynomial
-from .ring import PresentedRing
+from .ring import PolynomialRing, PresentedRing
 
 DEFAULT_SPAIR_CAP = 10**6
 
@@ -39,7 +39,7 @@ class _LeadIndex:
 
     __slots__ = ("ring", "exps", "masks", "reducers")
 
-    def __init__(self, ring: PresentedRing, polys=()):
+    def __init__(self, ring: PolynomialRing, polys=()):
         self.ring = ring
         self.exps = [[] for _ in range(ring.nvars)]
         self.masks = [[0] for _ in range(ring.nvars)]
@@ -161,7 +161,7 @@ class _TermDict:
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: PresentedRing, terms: dict):
+    def __init__(self, ring: PolynomialRing, terms: dict):
         self.ring = ring
         self.terms = terms
 
@@ -191,11 +191,15 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> _TermDict:
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis: monic, interreduced, sorted by leading term."""
+    """A reduced Groebner basis: monic, interreduced, sorted by leading term.
+
+    `ring` is the PolynomialRing its elements belong to, not the presented
+    ring that caches it, so a cached basis does not refer back to its cache.
+    """
 
     __slots__ = ("ring", "elements", "_index")
 
-    def __init__(self, ring: PresentedRing, elements):
+    def __init__(self, ring: PolynomialRing, elements):
         self.ring = ring
         self.elements = tuple(elements)
         self._index = None  # built on the first normal_form: bases only counted hold none
@@ -268,9 +272,10 @@ def groebner_basis(ring: PresentedRing, gens) -> GroebnerBasis:
     generated.  A cached basis generates no S-pairs, so the cap does not
     apply to it.
     """
+    ambient = ring.ambient
     gens = [g for g in gens if not g.is_zero()]
     for g in gens:
-        if not ring.owns(g):
+        if not ambient.owns(g):
             raise InputError("generator lives in a different ring")
     cache_key = tuple(sorted(g.terms for g in gens))
     hit = ring._bases.get(cache_key)
@@ -280,13 +285,13 @@ def groebner_basis(ring: PresentedRing, gens) -> GroebnerBasis:
     if all(g.is_monomial() for g in gens):
         # The minimal generators of a monomial ideal, made monic, are its
         # reduced basis: no tail can be reduced.
-        elements = [g.monic() for g in _minimal(ring, gens)]
+        elements = [g.monic() for g in _minimal(ambient, gens)]
     else:
-        elements = _interreduce(ring, _buchberger(ring, gens))
+        elements = _interreduce(ambient, _buchberger(ambient, gens))
     # The bases cached on a ring share many elements (the rungs of a ladder
     # do), so they share one copy of each.
     shared = ring._elements
-    result = GroebnerBasis(ring, [shared.setdefault(g.terms, g) for g in elements])
+    result = GroebnerBasis(ambient, [shared.setdefault(g.terms, g) for g in elements])
     ring._bases[cache_key] = result
     return result
 

@@ -137,32 +137,35 @@ def count_standard_monomials(lead_monomials, nvars: int):
         return 0
     if not all(any(m[i] == sum(m) for m in monos) for i in range(nvars)):
         return INFINITE
+    return _count(tuple(sorted(monos)), nvars, {}) if nvars else 1
 
-    memo = {}
 
-    def rec(gens, k):
-        # gens is sorted and holds a pure power of each of the k variables
-        # and no unit.
-        if k == 1:
-            return gens[0][0]
-        if k == 2:
-            return _planar(gens)[2]
-        value = memo.get(gens)
-        if value is None:
-            if k == 3:
-                value = _sweep(gens)
-            else:
-                j = min(range(k), key=lambda i: len({m[i] for m in gens}))
-                bound = min(m[j] for m in gens if m[j] == sum(m))
-                levels = sorted({m[j] for m in gens if m[j] < bound} | {0}) + [bound]
-                value = 0
-                for lo, hi in zip(levels, levels[1:]):
-                    slab = {m[:j] + m[j + 1 :] for m in gens if m[j] <= lo}
-                    value += (hi - lo) * rec(tuple(sorted(slab)), k - 1)
-            memo[gens] = value
-        return value
+def _count(gens, k, memo):
+    """Standard monomials of the staircase gens in k variables; memo maps
+    the sub-staircases already counted to their values.
 
-    return rec(tuple(sorted(monos)), nvars) if nvars else 1
+    gens is sorted and holds a pure power of each of the k variables and no
+    unit.  A module-level function, not a closure: a closure that calls
+    itself is a reference cycle through its own cell.
+    """
+    if k == 1:
+        return gens[0][0]
+    if k == 2:
+        return _planar(gens)[2]
+    value = memo.get(gens)
+    if value is None:
+        if k == 3:
+            value = _sweep(gens)
+        else:
+            j = min(range(k), key=lambda i: len({m[i] for m in gens}))
+            bound = min(m[j] for m in gens if m[j] == sum(m))
+            levels = sorted({m[j] for m in gens if m[j] < bound} | {0}) + [bound]
+            value = 0
+            for lo, hi in zip(levels, levels[1:]):
+                slab = {m[:j] + m[j + 1 :] for m in gens if m[j] <= lo}
+                value += (hi - lo) * _count(tuple(sorted(slab)), k - 1, memo)
+        memo[gens] = value
+    return value
 
 
 # -- the local leading ideal and dimension ------------------------------------

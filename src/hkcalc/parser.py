@@ -13,7 +13,9 @@ Session files look like::
 
 Polynomials use integer coefficients, ``+ - * ^`` and parentheses, are
 whitespace-insensitive, and are reduced mod p on the spot.  Errors carry
-line and column positions.
+line and column positions.  Every polynomial of a session belongs to one
+PolynomialRing (its field, variables and order); ``build_ring`` adds the
+relations to make a PresentedRing.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .field import PrimeField
 from .ideals import Ideal
 from .orders import ORDER_KINDS, MonomialOrder
 from .poly import Polynomial
-from .ring import PresentedRing
+from .ring import PolynomialRing, PresentedRing
 
 MAX_VARS = 10
 
@@ -37,7 +39,7 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()]))")
 class _PolyParser:
     """Recursive-descent parser for the polynomial grammar."""
 
-    def __init__(self, text: str, line: int, col0: int, ring: PresentedRing):
+    def __init__(self, text: str, line: int, col0: int, ring):
         self.text = text
         self.line = line
         self.col0 = col0
@@ -138,7 +140,9 @@ class _PolyParser:
         self._fail(col, "unexpected token %r" % value)
 
 
-def parse_polynomial(text, line, col0, ring: PresentedRing) -> Polynomial:
+def parse_polynomial(text, line, col0, ring) -> Polynomial:
+    """Parse text into a polynomial of ring, a PolynomialRing or a
+    PresentedRing; line and col0 place it in its file for error messages."""
     return _PolyParser(text, line, col0, ring).parse()
 
 
@@ -149,7 +153,7 @@ class SessionInput:
     p: int
     variables: tuple
     order_kind: str
-    relations: tuple  # of Polynomial, all in one relation-free ring
+    relations: tuple  # of Polynomial, all in the session's PolynomialRing
     ideals: dict = dc_field(default_factory=dict)  # name -> tuple of Polynomial
     primes: dict = dc_field(default_factory=dict)  # name -> (gens tuple, declared height)
     params: dict = dc_field(default_factory=dict)  # name -> Polynomial
@@ -210,7 +214,7 @@ def parse_session(text: str) -> SessionInput:
     variables = None
     order_kind = "grevlex"
     field = None
-    ring = None  # relation-free; built at the first polynomial
+    ring = None  # the PolynomialRing, built at the first polynomial
     relations = []
     ideals = {}
     primes = {}
@@ -226,7 +230,7 @@ def parse_session(text: str) -> SessionInput:
     def parse_poly(chunk, lineno, col0):
         nonlocal ring
         if ring is None:
-            ring = PresentedRing(field, variables, MonomialOrder(order_kind))
+            ring = PolynomialRing(field, variables, MonomialOrder(order_kind))
         return parse_polynomial(chunk, lineno, col0, ring)
 
     def parse_gen_list(rhs, lineno, col0):

@@ -1,10 +1,12 @@
 """Sparse multivariate polynomials over F_p, each belonging to one ring.
 
-A polynomial holds the PresentedRing it was built in, which supplies the
-field, the variables and the monomial order.  Terms are stored as a tuple
-of (monomial, coefficient) pairs, strictly descending in the ring's order,
-so the leading term is terms[0].  Polynomials are immutable; all
-operations return new values.
+A polynomial holds the PolynomialRing it belongs to, F_p[variables] with a
+monomial order, which supplies the field, the variables and the order.
+Relations belong to a PresentedRing, not to its polynomials, so polynomials
+of presented rings that differ only in their relations mix.  Terms are
+stored as a tuple of (monomial, coefficient) pairs, strictly descending in
+the ring's order, so the leading term is terms[0].  Polynomials are
+immutable; all operations return new values.
 
 `Polynomial(ring, terms)` accepts any iterable of terms: it checks the
 arity, merges like monomials, reduces mod p, drops zeros and sorts.

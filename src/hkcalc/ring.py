@@ -1,7 +1,13 @@
-"""Presented rings: a polynomial ring over F_p modulo a list of relations.
+"""Polynomial rings and presented rings over F_p.
 
-The model is the local ring at the origin, so every relation must vanish
-there (zero constant term).
+A PolynomialRing is F_p[variables] with a monomial order.  It is what
+every polynomial and Groebner basis belongs to, and it caches nothing.
+
+A PresentedRing is a polynomial ring modulo a list of relations, with the
+Groebner bases computed over it cached on it.  The model is the local ring
+at the origin, so every relation must vanish there (zero constant term).
+Nothing it caches refers back to it, so a dropped PresentedRing and its
+bases are freed at once, without waiting for the cyclic collector.
 """
 
 from __future__ import annotations
@@ -12,19 +18,12 @@ from .orders import MonomialOrder
 from .poly import Polynomial
 
 
-class PresentedRing:
-    __slots__ = (
-        "field",
-        "variables",
-        "order",
-        "relations",
-        "_bases",
-        "_elements",
-        "_homogenizing",
-        "_graded",
-    )
+class PolynomialRing:
+    """F_p[variables] with a monomial order; rings equal in all three mix."""
 
-    def __init__(self, field: PrimeField, variables, order: MonomialOrder, relations=()):
+    __slots__ = ("field", "variables", "order", "nvars")
+
+    def __init__(self, field: PrimeField, variables, order: MonomialOrder):
         variables = tuple(variables)
         if not variables:
             raise InputError("at least one variable is required")
@@ -33,26 +32,7 @@ class PresentedRing:
         self.field = field
         self.variables = variables
         self.order = order
-        # Relations may come from any ring over the same field and variables
-        # (e.g. one with another order); they are re-homed here by terms.
-        rehomed = []
-        for rel in relations:
-            if rel.ring.field != field or rel.ring.variables != variables:
-                raise InputError("relation lives in a different ring")
-            if rel.is_zero():
-                raise InputError("zero relation is not allowed")
-            if rel.constant_term() != 0:
-                raise InputError("relation has nonzero constant term")
-            rehomed.append(self.poly(rel.terms))
-        self.relations = tuple(rehomed)
-        self._bases = {}  # sorted generator terms -> reduced GroebnerBasis
-        self._elements = {}  # terms -> the one element of _bases with them
-        self._homogenizing = None  # built by lengths on first non-graded ideal
-        self._graded = all(r.is_homogeneous() for r in self.relations)
-
-    @property
-    def nvars(self) -> int:
-        return len(self.variables)
+        self.nvars = len(variables)
 
     # -- element constructors -------------------------------------------------
 
@@ -66,11 +46,14 @@ class PresentedRing:
         return Polynomial(self, (((0,) * self.nvars, c),))
 
     def var(self, which, exp: int = 1) -> Polynomial:
+        """x_which^exp; `which` is a variable name or an index."""
         if isinstance(which, str):
             try:
                 which = self.variables.index(which)
             except ValueError:
                 raise InputError("unknown variable %r" % which) from None
+        elif not 0 <= which < self.nvars:
+            raise InputError("variable index %d out of range 0..%d" % (which, self.nvars - 1))
         mono = tuple(exp if j == which else 0 for j in range(self.nvars))
         return Polynomial(self, ((mono, 1),))
 
@@ -78,30 +61,104 @@ class PresentedRing:
         return Polynomial(self, terms)
 
     def owns(self, f: Polynomial) -> bool:
-        """True iff f was built in this ring, or in one that differs only in
-        its relations (same field, variables and order)."""
-        other = f.ring
-        return other is self or (
-            other.field == self.field
-            and other.variables == self.variables
-            and other.order == self.order
+        """True iff f belongs to this ring: same field, variables and order."""
+        return f.ring is self or f.ring == self
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, PolynomialRing)
+            and self.field == other.field
+            and self.variables == other.variables
+            and self.order == other.order
         )
+
+    def __hash__(self) -> int:
+        return hash((self.field.p, self.variables, self.order))
+
+    def __repr__(self) -> str:
+        return "F_%d[%s]" % (self.field.p, ",".join(self.variables))
+
+
+class PresentedRing:
+    """`ambient`, a PolynomialRing, modulo `relations`, a tuple of its
+    polynomials; the Groebner bases computed over it are cached here."""
+
+    __slots__ = (
+        "ambient",
+        "relations",
+        "_bases",
+        "_elements",
+        "_homogenizing",
+        "_graded",
+    )
+
+    def __init__(self, field: PrimeField, variables, order: MonomialOrder, relations=()):
+        self.ambient = ambient = PolynomialRing(field, variables, order)
+        # Relations may come from any ring over the same field and variables
+        # (e.g. one with another order); they are re-homed here by terms.
+        rehomed = []
+        for rel in relations:
+            if rel.ring.field != field or rel.ring.variables != ambient.variables:
+                raise InputError("relation lives in a different ring")
+            if rel.is_zero():
+                raise InputError("zero relation is not allowed")
+            if rel.constant_term() != 0:
+                raise InputError("relation has nonzero constant term")
+            rehomed.append(ambient.poly(rel.terms))
+        self.relations = tuple(rehomed)
+        self._bases = {}  # sorted generator terms -> reduced GroebnerBasis
+        self._elements = {}  # terms -> the one element of _bases with them
+        self._homogenizing = None  # built by lengths on first non-graded ideal
+        self._graded = all(r.is_homogeneous() for r in self.relations)
+
+    @property
+    def field(self) -> PrimeField:
+        return self.ambient.field
+
+    @property
+    def variables(self) -> tuple:
+        return self.ambient.variables
+
+    @property
+    def order(self) -> MonomialOrder:
+        return self.ambient.order
+
+    @property
+    def nvars(self) -> int:
+        return self.ambient.nvars
+
+    # -- element constructors: polynomials of the ambient ring ----------------
+
+    def zero(self) -> Polynomial:
+        return self.ambient.zero()
+
+    def one(self) -> Polynomial:
+        return self.ambient.one()
+
+    def constant(self, c: int) -> Polynomial:
+        return self.ambient.constant(c)
+
+    def var(self, which, exp: int = 1) -> Polynomial:
+        return self.ambient.var(which, exp)
+
+    def poly(self, terms) -> Polynomial:
+        return self.ambient.poly(terms)
+
+    def owns(self, f: Polynomial) -> bool:
+        """True iff f belongs to the ambient ring; relations do not matter."""
+        return self.ambient.owns(f)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PresentedRing)
-            and self.field == other.field
-            and self.variables == other.variables
-            and self.order == other.order
+            and self.ambient == other.ambient
             and tuple(r.terms for r in self.relations) == tuple(r.terms for r in other.relations)
         )
 
     def __hash__(self) -> int:
-        return hash(
-            (self.field.p, self.variables, self.order, tuple(r.terms for r in self.relations))
-        )
+        return hash((self.ambient, tuple(r.terms for r in self.relations)))
 
     def __repr__(self) -> str:
         rels = ", ".join(r.render() for r in self.relations)
-        base = "F_%d[%s]" % (self.field.p, ",".join(self.variables))
+        base = repr(self.ambient)
         return base if not rels else "%s/(%s)" % (base, rels)

@@ -1,13 +1,17 @@
 """Shared constructors for the test suite."""
 
-from hkcalc import MonomialOrder, PresentedRing, PrimeField
+from hkcalc import MonomialOrder, PolynomialRing, PresentedRing, PrimeField
 from hkcalc.parser import parse_polynomial
 
 
+def polynomial_ring_of(p, names, kind="grevlex"):
+    return PolynomialRing(PrimeField(p), tuple(names), MonomialOrder(kind))
+
+
 def ring_of(p, names, kind="grevlex", relations=()):
-    free = PresentedRing(PrimeField(p), tuple(names), MonomialOrder(kind))
-    rels = [poly_of(free, s) for s in relations]
-    return PresentedRing(free.field, free.variables, free.order, rels)
+    ambient = polynomial_ring_of(p, names, kind)
+    rels = [poly_of(ambient, s) for s in relations]
+    return PresentedRing(ambient.field, ambient.variables, ambient.order, rels)
 
 
 def poly_of(ring, text):

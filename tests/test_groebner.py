@@ -14,7 +14,7 @@ from hkcalc import (
 )
 from hkcalc.groebner import SPAIR_CAP, _LeadIndex, _PackedMonomials
 from hkcalc.orders import ORDER_KINDS
-from helpers import poly_of, random_poly, ring_of
+from helpers import poly_of, polynomial_ring_of, random_poly, ring_of
 
 
 def _gb(ring, texts):
@@ -301,7 +301,7 @@ def test_bracket_power_spair_decisions_pinned(monkeypatch, q, spolys, size):
 def test_lead_index_matches_brute_force_divisibility():
     rng = random.Random(5)
     for nvars in range(1, 6):
-        ring = ring_of(5, "abcde"[:nvars])
+        ring = polynomial_ring_of(5, "abcde"[:nvars])
         for _ in range(40):
             pool = [tuple(rng.randint(0, 3) for _ in range(nvars)) for _ in range(rng.randint(1, 8))]
             lms = [rng.choice(pool) for _ in range(rng.randint(1, 12))]  # with repeats

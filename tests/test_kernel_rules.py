@@ -1,5 +1,5 @@
 """The package keeps its arithmetic exact and its dependencies to the stdlib,
-and only the CLI writes to stdout or stderr.
+only the CLI writes to stdout or stderr, and no closure calls itself.
 
 Every module under src/hkcalc is parsed, not imported, so the rule holds for
 code paths no other test reaches.
@@ -52,6 +52,22 @@ def _writes(tree):
                     yield node.lineno, "import of sys.%s" % alias.name
 
 
+def _recursive_closures(tree):
+    """Nested functions that name themselves.  Such a closure holds the cell
+    that holds it, a reference cycle that only the cyclic collector frees."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    nested = {
+        id(inner): inner
+        for outer in ast.walk(tree)
+        if isinstance(outer, functions)
+        for inner in ast.walk(outer)
+        if inner is not outer and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    for fn in nested.values():
+        if any(isinstance(node, ast.Name) and node.id == fn.name for node in ast.walk(fn)):
+            yield fn.lineno, "recursive closure %s" % fn.name
+
+
 def _violations(tree, may_write=False):
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
@@ -71,6 +87,7 @@ def _violations(tree, may_write=False):
             top = node.module.split(".")[0]
             if top != "hkcalc" and top not in STDLIB:
                 yield node.lineno, "import from %s" % node.module
+    yield from _recursive_closures(tree)
     if not may_write:
         yield from _writes(tree)
 
@@ -91,6 +108,18 @@ def test_no_floats_and_no_runtime_dependencies():
 def test_rules_catch_each_violation():
     bad = "x = 0.5\ny = 2j\nz = round(x)\nimport numpy\nfrom sympy import groebner\n"
     output = "print(x)\nsys.stdout.write(y)\nf(file=sys.stderr)\nfrom sys import stderr\n"
-    tree = ast.parse(bad + output)
-    assert sorted(lineno for lineno, _ in _violations(tree)) == [1, 2, 3, 4, 5, 6, 7, 8, 9]
-    assert sorted(lineno for lineno, _ in _violations(tree, may_write=True)) == [1, 2, 3, 4, 5]
+    # Line 11 is a recursive closure.  `other` (line 13) calls its enclosing
+    # function and `top` (line 16) itself, both globals: neither is a cycle.
+    closures = (
+        "def outer(n):\n"
+        "    def rec(k):\n"
+        "        return rec(k - 1) if k else 0\n"
+        "    def other(k):\n"
+        "        return outer(k)\n"
+        "    return rec(n)\n"
+        "def top(k):\n"
+        "    return top(k - 1) if k else 0\n"
+    )
+    tree = ast.parse(bad + output + closures)
+    assert sorted(lineno for lineno, _ in _violations(tree)) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 11]
+    assert sorted(lineno for lineno, _ in _violations(tree, may_write=True)) == [1, 2, 3, 4, 5, 11]

@@ -1,6 +1,6 @@
 import pytest
 
-from hkcalc import InputError, parse_polynomial, parse_session
+from hkcalc import InputError, PolynomialRing, parse_polynomial, parse_session
 from helpers import ring_of
 
 QUADRIC = """\
@@ -53,7 +53,7 @@ def test_build_ring_rehomes_relations_in_its_order():
     for kind, lm in (("grevlex", (0, 2)), ("lex", (1, 0))):
         ring = session.build_ring(order_kind=kind)
         (rel,) = ring.relations
-        assert rel.ring is ring and rel.lm == lm
+        assert rel.ring is ring.ambient and rel.lm == lm
 
 
 def test_session_polynomials_share_one_relation_free_ring():
@@ -62,7 +62,8 @@ def test_session_polynomials_share_one_relation_free_ring():
     polys += [g for gens in session.ideals.values() for g in gens]
     polys += [g for gens, _ in session.primes.values() for g in gens]
     assert len({id(g.ring) for g in polys}) == 1
-    assert polys[0].ring.relations == ()
+    assert isinstance(polys[0].ring, PolynomialRing)
+    assert polys[0].ring == session.build_ring().ambient
 
 
 def test_unknown_names_rejected():

@@ -92,6 +92,17 @@ def test_frobenius_rejects_non_powers():
     assert is_power_of(125, 5) and not is_power_of(50, 5) and not is_power_of(0, 5)
 
 
+def test_var_rejects_out_of_range_index():
+    ring = ring_of(5, ("x", "y"))
+    assert ring.var(0, 0) == ring.one()
+    assert ring.var(1, 3) == poly_of(ring, "y^3") == ring.var("y", 3)
+    for bad in (2, 5, -1):
+        with pytest.raises(InputError):
+            ring.var(bad)
+    with pytest.raises(InputError):
+        ring.var("z")
+
+
 def test_cross_ring_operations_rejected():
     a = ring_of(5, ("x", "y"))
     b = ring_of(7, ("x", "y"))
@@ -120,7 +131,8 @@ def test_rings_differing_only_in_relations_mix():
     free = ring_of(5, ("x", "y", "z"))
     cone = ring_of(5, ("x", "y", "z"), relations=("x*y - z^2",))
     assert free.var(0) + cone.var(1) == poly_of(cone, "x + y")
-    assert cone.relations[0].ring is cone
+    assert cone.relations[0].ring is cone.ambient
+    assert free.ambient == cone.ambient
 
 
 def test_repr_uses_ring_names():
