@@ -18,6 +18,7 @@ from .lengths import (
     is_finite,
     local_colength,
     quotient_length,
+    require_parameter,
 )
 from .poly import Polynomial, is_power_of
 from .ring import PresentedRing
@@ -169,7 +170,12 @@ def check_lemma21(I: Ideal, J: Ideal, q_list) -> CheckReport:
 
 
 def check_thm23(J: Ideal, x: Polynomial, minimal_primes, e_max: int) -> CheckReport:
-    """e_HK(J + (x)) >= lambda(R/(J, x)) up to EHK_TOLERANCE."""
+    """e_HK(J + (x)) >= lambda(R/(J, x)) up to EHK_TOLERANCE.
+
+    INAPPLICABLE, with require_parameter's message, unless x is a parameter
+    on the one-dimensional R/J; also unless each declared minimal prime P
+    contains J and has dim(R/P) = 1.
+    """
     ring = J.ring
     inputs = {
         "ring": repr(ring),
@@ -179,21 +185,11 @@ def check_thm23(J: Ideal, x: Polynomial, minimal_primes, e_max: int) -> CheckRep
         "e_max": e_max,
         "tolerance": str(EHK_TOLERANCE),
     }
-    if dimension(J) != 1:
-        return CheckReport(
-            "thm23", inputs, {}, INAPPLICABLE, "precondition unmet: dim(R/J) != 1"
-        )
     I = J + Ideal(ring, [x])
     try:
-        if dimension(I) != 0:
-            return CheckReport(
-                "thm23", inputs, {}, INAPPLICABLE,
-                "precondition unmet: x is not a parameter on R/J (dim(R/(J,x)) != 0)",
-            )
-    except InputError:
-        return CheckReport(
-            "thm23", inputs, {}, INAPPLICABLE, "precondition unmet: (J, x) is a unit at the origin"
-        )
+        require_parameter(x, J)
+    except InputError as exc:
+        return CheckReport("thm23", inputs, {}, INAPPLICABLE, "precondition unmet: %s" % exc)
     for P in minimal_primes:
         if not P.contains_ideal(J):
             return CheckReport(

@@ -23,25 +23,28 @@ from .checks import (
     check_thm23,
     check_thm33,
 )
+from .errors import InputError
 from .hk import ehk_estimate, hk_function
 from .ideals import Ideal
-from .parser import parse_session
+from .parser import parse_polynomial, parse_session
 
 SINGULAR_MARGIN = Fraction(1, 5)
 
 
 @dataclass
 class Fixture:
+    """A session and its runner.  run() parses session_text, builds its ring
+    once and calls runner(session, ring, seed), which returns the check
+    reports and the expectations, each as a list of dicts."""
+
     fixture_id: str
     description: str
     session_text: str
     runner: Callable
 
-    def session(self):
-        return parse_session(self.session_text)
-
     def run(self, seed: int = 42) -> dict:
-        checks, expectations = self.runner(self, seed)
+        session = parse_session(self.session_text)
+        checks, expectations = self.runner(session, session.build_ring(), seed)
         passed = all(c["verdict"] == PASS for c in checks) and all(
             e["ok"] for e in expectations
         )
@@ -76,9 +79,7 @@ def _regular_session(p, d):
     return "char %d\nvars %s\nideal m = %s\n" % (p, " ".join(names), ", ".join(names))
 
 
-def _run_regular(fixture, seed):
-    session = fixture.session()
-    ring = session.build_ring()
+def _run_regular(session, ring, seed):
     p = ring.field.p
     d = ring.nvars
     # q caps keep the d=3, p=5 case inside its runtime budget.
@@ -117,9 +118,7 @@ def _cone_session(p, n):
 
 
 def _run_cone(n):
-    def runner(fixture, seed):
-        session = fixture.session()
-        ring = session.build_ring()
+    def runner(session, ring, seed):
         m = session.ideal("m", ring)
         est = ehk_estimate(m, 3)
         target = Fraction(2 * n - 1, n)
@@ -159,9 +158,7 @@ _THM33_REGULAR_SESSION = (
 )
 
 
-def _run_thm33_regular(fixture, seed):
-    session = fixture.session()
-    ring = session.build_ring()
+def _run_thm33_regular(session, ring, seed):
     prime, _ = session.prime("P", ring)
     x = session.param("f", ring)
     report = check_thm33(prime, x, [5, 25])
@@ -189,9 +186,7 @@ def _random_monomial_mprimary(ring, rng):
     return Ideal(ring, gens)
 
 
-def _run_lemma21_random(fixture, seed):
-    session = fixture.session()
-    ring = session.build_ring()
+def _run_lemma21_random(session, ring, seed):
     rng = random.Random(seed)
     checks = []
     for _ in range(100):
@@ -219,11 +214,7 @@ _NONMONOMIAL_GENS = (
 )
 
 
-def _run_flatness_random(fixture, seed):
-    from .parser import parse_polynomial
-
-    session = fixture.session()
-    ring = session.build_ring()
+def _run_flatness_random(session, ring, seed):
     rng = random.Random(seed)
     ideals = [_random_monomial_mprimary(ring, rng) for _ in range(20)]
     for gens in _NONMONOMIAL_GENS:
@@ -293,6 +284,4 @@ def fixture_by_id(fixture_id: str) -> Fixture:
     for f in corpus():
         if f.fixture_id == fixture_id:
             return f
-    from .errors import InputError
-
     raise InputError("unknown fixture %r" % fixture_id)

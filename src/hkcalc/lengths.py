@@ -129,20 +129,18 @@ def count_standard_monomials(lead_monomials, nvars: int):
     last, with a planar staircase updated incrementally (_sweep).  More
     variables are sliced along the variable with the fewest distinct
     exponents; each slab between consecutive exponents is a staircase in
-    one variable fewer, counted recursively down to the sweep, with
-    memoization on sub-staircases.
+    one variable fewer, counted recursively down to the sweep.
     """
     monos = {tuple(m) for m in lead_monomials}
     if (0,) * nvars in monos:
         return 0
     if not all(any(m[i] == sum(m) for m in monos) for i in range(nvars)):
         return INFINITE
-    return _count(tuple(sorted(monos)), nvars, {}) if nvars else 1
+    return _count(tuple(sorted(monos)), nvars) if nvars else 1
 
 
-def _count(gens, k, memo):
-    """Standard monomials of the staircase gens in k variables; memo maps
-    the sub-staircases already counted to their values.
+def _count(gens, k):
+    """Standard monomials of the staircase gens in k variables.
 
     gens is sorted and holds a pure power of each of the k variables and no
     unit.  A module-level function, not a closure: a closure that calls
@@ -152,19 +150,15 @@ def _count(gens, k, memo):
         return gens[0][0]
     if k == 2:
         return _planar(gens)[2]
-    value = memo.get(gens)
-    if value is None:
-        if k == 3:
-            value = _sweep(gens)
-        else:
-            j = min(range(k), key=lambda i: len({m[i] for m in gens}))
-            bound = min(m[j] for m in gens if m[j] == sum(m))
-            levels = sorted({m[j] for m in gens if m[j] < bound} | {0}) + [bound]
-            value = 0
-            for lo, hi in zip(levels, levels[1:]):
-                slab = {m[:j] + m[j + 1 :] for m in gens if m[j] <= lo}
-                value += (hi - lo) * _count(tuple(sorted(slab)), k - 1, memo)
-        memo[gens] = value
+    if k == 3:
+        return _sweep(gens)
+    j = min(range(k), key=lambda i: len({m[i] for m in gens}))
+    bound = min(m[j] for m in gens if m[j] == sum(m))
+    levels = sorted({m[j] for m in gens if m[j] < bound} | {0}) + [bound]
+    value = 0
+    for lo, hi in zip(levels, levels[1:]):
+        slab = {m[:j] + m[j + 1 :] for m in gens if m[j] <= lo}
+        value += (hi - lo) * _count(tuple(sorted(slab)), k - 1)
     return value
 
 
@@ -256,6 +250,19 @@ def quotient_length(I: Ideal, J: Ideal):
 # -- Hilbert-Samuel multiplicity ----------------------------------------------
 
 
+def require_parameter(x: Polynomial, J: Ideal) -> None:
+    """Raise InputError unless R/J has dimension 1 at the origin and x is a
+    parameter on it, that is, R/(J, x) has dimension 0 there.
+
+    The one test of the hypotheses of e(x; R/J) and of Theorem 2.3; a unit
+    at the origin raises from dimension().
+    """
+    if dimension(J) != 1:
+        raise InputError("dim(R/J) != 1")
+    if dimension(J + Ideal(J.ring, [x])) != 0:
+        raise InputError("the given element is not a parameter on R/J")
+
+
 @dataclass(frozen=True)
 class MultiplicityResult:
     value: int
@@ -277,10 +284,7 @@ def hilbert_samuel(x: Polynomial, J: Ideal) -> MultiplicityResult:
     ring = J.ring
     if not ring.owns(x):
         raise InputError("parameter lives in a different ring")
-    if dimension(J) != 1:
-        raise InputError("hilbert_samuel requires dim(R/J) = 1")
-    if dimension(J + Ideal(ring, [x])) != 0:
-        raise InputError("the given element is not a parameter on R/J")
+    require_parameter(x, J)
     basis_degree = max((g.degree() for g in J.gb().elements), default=1)
     floor = max(HS_FLOOR, basis_degree)
     cap = max(HS_CAP, floor + 8)
@@ -317,4 +321,5 @@ __all__ = [
     "is_finite",
     "local_colength",
     "quotient_length",
+    "require_parameter",
 ]

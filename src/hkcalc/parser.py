@@ -165,25 +165,22 @@ class SessionInput:
     def _rebuild(self, polys, ring):
         return [ring.poly(g.terms) for g in polys]
 
-    def ideal(self, name, ring=None) -> Ideal:
-        ring = ring or self.build_ring()
+    def ideal(self, name, ring: PresentedRing) -> Ideal:
         if name in self.ideals:
             return Ideal(ring, self._rebuild(self.ideals[name], ring))
         if name in self.primes:
             return Ideal(ring, self._rebuild(self.primes[name][0], ring))
         raise InputError("unknown ideal %r" % name)
 
-    def prime(self, name, ring=None):
+    def prime(self, name, ring: PresentedRing):
         if name not in self.primes:
             raise InputError("unknown prime %r" % name)
-        ring = ring or self.build_ring()
         gens, height = self.primes[name]
         return Ideal(ring, self._rebuild(gens, ring)), height
 
-    def param(self, name, ring=None) -> Polynomial:
+    def param(self, name, ring: PresentedRing) -> Polynomial:
         if name not in self.params:
             raise InputError("unknown parameter %r" % name)
-        ring = ring or self.build_ring()
         return ring.poly(self.params[name].terms)
 
     def to_text(self) -> str:

@@ -9,11 +9,11 @@ the ring's order, so the leading term is terms[0].  Polynomials are
 immutable; all operations return new values.
 
 `Polynomial(ring, terms)` accepts any iterable of terms: it checks the
-arity, merges like monomials, reduces mod p, drops zeros and sorts.
-`Polynomial._canonical(ring, terms)` skips all of that, for kernel code
-whose terms are canonical by construction: a tuple, strictly descending in
-the ring's order, every coefficient in 1..p-1, every monomial of the
-ring's arity.  `Polynomial(ring, f.terms).terms == f.terms` holds for every
+arity and that no exponent is negative, merges like monomials, reduces
+mod p, drops zeros and sorts.  `Polynomial._canonical(ring, terms)` skips
+all of that, for kernel code whose terms are canonical by construction: a
+tuple, strictly descending in the ring's order, every coefficient in
+1..p-1, every monomial of the ring's arity.  `Polynomial(ring, f.terms).terms == f.terms` holds for every
 polynomial f, however it was built.
 """
 
@@ -39,7 +39,8 @@ class Polynomial:
         """Build from an iterable of (monomial, coefficient) pairs.
 
         Coefficients are reduced mod p, like monomials are merged, zero
-        terms dropped, and the result sorted descending.
+        terms dropped, and the result sorted descending.  A monomial of the
+        wrong arity or with a negative exponent is an InputError.
         """
         acc = {}
         p = ring.field.p
@@ -47,6 +48,8 @@ class Polynomial:
         for mono, coeff in terms:
             if len(mono) != nvars:
                 raise InputError("monomial arity %d != variable count %d" % (len(mono), nvars))
+            if mono and min(mono) < 0:
+                raise InputError("negative exponent in monomial %r" % (mono,))
             c = (acc.get(mono, 0) + coeff) % p
             if c:
                 acc[mono] = c

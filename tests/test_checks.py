@@ -11,6 +11,7 @@ from hkcalc import (
     check_rescaling,
     check_thm23,
     check_thm33,
+    hilbert_samuel,
 )
 from hkcalc.checks import EHK_TOLERANCE
 from helpers import poly_of, ring_of
@@ -116,6 +117,22 @@ def test_thm23_inapplicable_on_bad_hypotheses():
     report = check_thm23(J, cone.var(0), [bad_prime], 3)
     assert report.verdict == "INAPPLICABLE"
     assert "contain" in report.detail
+
+
+@pytest.mark.parametrize(
+    "j_gens,param",
+    [(["x", "y", "z"], "x"), (["y", "z"], "z"), (["y", "z"], "1 + x")],
+    ids=["dim-not-one", "not-a-parameter", "unit-at-origin"],
+)
+def test_thm23_reports_hilbert_samuels_message(j_gens, param):
+    """thm23 reports the kernel's own message for each unmet hypothesis."""
+    cone = ring_of(5, ("x", "y", "z"), relations=("x*y - z^2",))
+    J, x = _ideal(cone, j_gens), poly_of(cone, param)
+    with pytest.raises(InputError) as exc:
+        hilbert_samuel(x, J)
+    report = check_thm23(J, x, [], 3)
+    assert report.verdict == "INAPPLICABLE"
+    assert report.detail == "precondition unmet: " + str(exc.value)
 
 
 def test_thm33_regular_equality():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import hkcalc.hk
 from hkcalc import (
     AssociativityRatioError,
     CertificationError,
@@ -9,6 +10,7 @@ from hkcalc import (
     InputError,
     ehk_estimate,
     hk_function,
+    local_colength,
     localized_frobenius_colength,
     maximal_ideal,
 )
@@ -49,6 +51,22 @@ def test_hk_function_rejects_bad_input():
         hk_function(maximal_ideal(ring), 0)
     with pytest.raises(InputError):
         hk_function(_ideal(ring, ["x"]), 2)  # not m-primary
+
+
+def test_hk_function_counts_only_its_rows(monkeypatch):
+    """One local colength per row; the rows themselves test m-primary."""
+    calls = []
+
+    def counting(I):
+        calls.append(I)
+        return local_colength(I)
+
+    monkeypatch.setattr(hkcalc.hk, "local_colength", counting)
+    ring = ring_of(5, ("x", "y"))
+    hk_function(_ideal(ring, ["x^2", "y^3"]), 3)
+    assert len(calls) == 3
+    with pytest.raises(InputError, match="not m-primary"):
+        hk_function(_ideal(ring, ["x"]), 2)
 
 
 def test_ehk_estimate_quadric():

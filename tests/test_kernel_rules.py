@@ -1,5 +1,6 @@
 """The package keeps its arithmetic exact and its dependencies to the stdlib,
-only the CLI writes to stdout or stderr, and no closure calls itself.
+only the CLI writes to stdout or stderr, no closure calls itself, and every
+import sits at module level, so the import graph is read off module tops.
 
 Every module under src/hkcalc is parsed, not imported, so the rule holds for
 code paths no other test reaches.
@@ -68,6 +69,20 @@ def _recursive_closures(tree):
             yield fn.lineno, "recursive closure %s" % fn.name
 
 
+def _local_imports(tree):
+    """Imports inside a function body, each once however deeply nested."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    local = {
+        id(node): node
+        for fn in ast.walk(tree)
+        if isinstance(fn, functions)
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    }
+    for node in local.values():
+        yield node.lineno, "import inside a function"
+
+
 def _violations(tree, may_write=False):
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
@@ -88,6 +103,7 @@ def _violations(tree, may_write=False):
             if top != "hkcalc" and top not in STDLIB:
                 yield node.lineno, "import from %s" % node.module
     yield from _recursive_closures(tree)
+    yield from _local_imports(tree)
     if not may_write:
         yield from _writes(tree)
 
@@ -120,6 +136,10 @@ def test_rules_catch_each_violation():
         "def top(k):\n"
         "    return top(k - 1) if k else 0\n"
     )
-    tree = ast.parse(bad + output + closures)
-    assert sorted(lineno for lineno, _ in _violations(tree)) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 11]
-    assert sorted(lineno for lineno, _ in _violations(tree, may_write=True)) == [1, 2, 3, 4, 5, 11]
+    # Line 19 imports inside a function; line 20, at module level, does not.
+    imports = "def late():\n    from .errors import InputError\nimport itertools\n"
+    tree = ast.parse(bad + output + closures + imports)
+    assert sorted(lineno for lineno, _ in _violations(tree)) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 19]
+    assert sorted(lineno for lineno, _ in _violations(tree, may_write=True)) == [
+        1, 2, 3, 4, 5, 11, 19,
+    ]

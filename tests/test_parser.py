@@ -37,9 +37,10 @@ def test_parse_session_quadric():
 def test_session_roundtrip_through_to_text():
     session = parse_session(QUADRIC)
     again = parse_session(session.to_text())
+    ring = session.build_ring()
     assert again.to_text() == session.to_text()
     assert again.variables == session.variables
-    assert again.ideal("m").same_ideal(session.ideal("m"))
+    assert again.ideal("m", ring).same_ideal(session.ideal("m", ring))
 
 
 def test_order_override():
@@ -68,12 +69,13 @@ def test_session_polynomials_share_one_relation_free_ring():
 
 def test_unknown_names_rejected():
     session = parse_session(QUADRIC)
+    ring = session.build_ring()
     with pytest.raises(InputError):
-        session.ideal("nope")
+        session.ideal("nope", ring)
     with pytest.raises(InputError):
-        session.prime("m")  # declared as ideal, not prime
+        session.prime("m", ring)  # declared as ideal, not prime
     with pytest.raises(InputError):
-        session.param("m")
+        session.param("m", ring)
 
 
 @pytest.mark.parametrize(

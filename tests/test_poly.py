@@ -164,6 +164,15 @@ def test_constructor_rejects_bad_arity():
         Polynomial(ring, (((1, 2, 3), 1),))
 
 
+def test_constructor_rejects_negative_exponents():
+    ring = ring_of(5, ("x", "y"))
+    with pytest.raises(InputError):
+        ring.var(0, -1)
+    with pytest.raises(InputError):
+        ring.poly([((-2, 1), 3)])
+    assert ring.var(0, 0) == ring.one()
+
+
 def _assert_canonical(h):
     """h.terms is what the checking constructor makes of them."""
     assert isinstance(h.terms, tuple)
