@@ -172,9 +172,9 @@ def check_lemma21(I: Ideal, J: Ideal, q_list) -> CheckReport:
 def check_thm23(J: Ideal, x: Polynomial, minimal_primes, e_max: int) -> CheckReport:
     """e_HK(J + (x)) >= lambda(R/(J, x)) up to EHK_TOLERANCE.
 
-    INAPPLICABLE, with require_parameter's message, unless x is a parameter
-    on the one-dimensional R/J; also unless each declared minimal prime P
-    contains J and has dim(R/P) = 1.
+    INAPPLICABLE, with the kernel's message, unless x is a parameter on the
+    one-dimensional R/J and each declared minimal prime P contains J and
+    has dim(R/P) = 1 at the origin.
     """
     ring = J.ring
     inputs = {
@@ -188,19 +188,13 @@ def check_thm23(J: Ideal, x: Polynomial, minimal_primes, e_max: int) -> CheckRep
     I = J + Ideal(ring, [x])
     try:
         require_parameter(x, J)
+        for P in minimal_primes:
+            if not P.contains_ideal(J):
+                raise InputError("a declared minimal prime does not contain J")
+            if dimension(P) != 1:
+                raise InputError("a declared minimal prime has dim(R/P) != 1")
     except InputError as exc:
         return CheckReport("thm23", inputs, {}, INAPPLICABLE, "precondition unmet: %s" % exc)
-    for P in minimal_primes:
-        if not P.contains_ideal(J):
-            return CheckReport(
-                "thm23", inputs, {}, INAPPLICABLE,
-                "precondition unmet: a declared minimal prime does not contain J",
-            )
-        if dimension(P) != 1:
-            return CheckReport(
-                "thm23", inputs, {}, INAPPLICABLE,
-                "precondition unmet: a declared minimal prime has dim(R/P) != 1",
-            )
     # Regularity of R_P and primality itself are fixture declarations; the
     # non-zerodivisor hypothesis is only checked at the parameter level.
     est = ehk_estimate(I, e_max)

@@ -5,9 +5,9 @@ Each verb writes one result to stdout, as JSON (default) or CSV (--format
 csv); diagnostics go to stderr.  The CSV of dim, colength, local-colength
 and mult is one row: the JSON fields after "ring".  The other verbs print a
 table: gb one row per basis element, hk one per q, ehk its three fractions
-as _num/_den columns and its method, check one per quantity, corpus one per
-fixture.  Exit codes: 0 success/PASS, 1 a check FAILED, 2 input error or a
-check INAPPLICABLE (thm33 included, when x is not a parameter on R/P),
+as _num/_den columns, check one per quantity, corpus one per fixture.
+Exit codes: 0 success/PASS, 1 a check FAILED, 2 input error or a check
+INAPPLICABLE (thm33 included, when x is not a parameter on R/P),
 3 resource limit, 4 stabilization/certification failure.
 """
 
@@ -144,8 +144,6 @@ def _cmd_hk(args):
         "ideal": args.ideal,
         "d": report.d,
         "rows": _hk_rows(report),
-        "estimate": report.estimate if report.estimate is not None else "ABSENT",
-        "estimate_method": report.estimate_method,
     }
     rows = [(r.e, r.q, r.colength, *r.ratio.as_integer_ratio()) for r in report.rows]
     _emit(args, payload, ("e", "q", "colength", "ratio_num", "ratio_den"), rows)
@@ -162,12 +160,11 @@ def _cmd_ehk(args):
         "estimate": est.estimate,
         "last_ratio": est.last_ratio,
         "gap": est.gap,
-        "method": est.method,
         "rows": _hk_rows(est.report),
     }
     fractions = ("estimate", "last_ratio", "gap")
-    header = [name + part for name in fractions for part in ("_num", "_den")] + ["method"]
-    row = [n for name in fractions for n in payload[name].as_integer_ratio()] + [est.method]
+    header = [name + part for name in fractions for part in ("_num", "_den")]
+    row = [n for name in fractions for n in payload[name].as_integer_ratio()]
     _emit(args, payload, header, [row])
     return EXIT_OK
 

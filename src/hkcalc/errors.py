@@ -14,7 +14,7 @@ class InputError(HKError):
 
 
 class ResourceLimitError(HKError):
-    """A configured resource cap (S-pair count, variable count) was exceeded."""
+    """The S-pair cap was exceeded (too many variables is an InputError)."""
 
 
 class CertificationError(HKError):

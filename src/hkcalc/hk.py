@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import AssociativityRatioError, InputError
 from .ideals import Ideal
@@ -29,17 +28,16 @@ class HKRow:
 class HKReport:
     d: int
     rows: tuple
-    estimate: Optional[Fraction]
-    estimate_method: str
 
 
 def hk_function(I: Ideal, e_max: int) -> HKReport:
     """Rows (e, q, lambda(R/I^[q]), lambda/q^d) for e = 1..e_max.
 
     d is the dimension of the local ring at the origin, so the ratios
-    converge to the Hilbert-Kunz multiplicity of I.  I^[q] and I have the
-    same radical, so a row's colength is finite exactly when lambda(R/I) is,
-    and the rows are the m-primary test.
+    converge to the Hilbert-Kunz multiplicity of I; ehk_estimate is the one
+    estimate of it.  I^[q] and I have the same radical, so a row's colength
+    is finite exactly when lambda(R/I) is, and the rows are the m-primary
+    test.
     """
     if e_max < 1:
         raise InputError("e_max must be at least 1")
@@ -53,12 +51,7 @@ def hk_function(I: Ideal, e_max: int) -> HKReport:
         if not is_finite(c):
             raise InputError("the ideal is not m-primary: infinite colength")
         rows.append(HKRow(e=e, q=q, colength=c, ratio=Fraction(c, q**d)))
-    ratios = {r.ratio for r in rows}
-    if len(ratios) == 1 and len(rows) >= 2:
-        estimate, method = rows[0].ratio, "exact-stationary"
-    else:
-        estimate, method = None, "absent"
-    return HKReport(d=d, rows=tuple(rows), estimate=estimate, estimate_method=method)
+    return HKReport(d=d, rows=tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -66,16 +59,16 @@ class EHKEstimate:
     estimate: Fraction
     last_ratio: Fraction
     gap: Fraction  # |estimate - last ratio|, a convergence diagnostic
-    method: str
     report: HKReport
 
 
 def ehk_estimate(I: Ideal, e_max: int) -> EHKEstimate:
-    """Two-point Hilbert-Kunz multiplicity estimate.
+    """The Hilbert-Kunz multiplicity estimate.
 
     Fits lambda(q) = a*q^d + b*q^(d-1) through the last two rows and reports
-    a, together with the raw last ratio and their gap.  No convergence claim
-    is made beyond the computed data.
+    a, together with the raw last ratio and their gap.  Rows with a constant
+    ratio r give a = r and gap 0.  No convergence claim is made beyond the
+    computed data.
     """
     if e_max < 2:
         raise InputError("ehk_estimate needs e_max >= 2")
@@ -86,11 +79,7 @@ def ehk_estimate(I: Ideal, e_max: int) -> EHKEstimate:
     q1, q2 = Fraction(r1.q), Fraction(r2.q)
     denom = q2**d * q1 ** (d - 1) - q1**d * q2 ** (d - 1)
     a = (r2.colength * q1 ** (d - 1) - r1.colength * q2 ** (d - 1)) / denom
-    method = "two-point-fit"
-    if report.estimate_method == "exact-stationary":
-        method = "exact-stationary"
-    gap = abs(a - r2.ratio)
-    return EHKEstimate(estimate=a, last_ratio=r2.ratio, gap=gap, method=method, report=report)
+    return EHKEstimate(estimate=a, last_ratio=r2.ratio, gap=abs(a - r2.ratio), report=report)
 
 
 def localized_frobenius_colength(P: Ideal, q: int, x: Polynomial) -> int:

@@ -146,16 +146,33 @@ class Polynomial:
         return Polynomial._canonical(self.ring, tuple((m, co * c % p) for m, co in self.terms))
 
     def __pow__(self, k: int):
+        """f^k as the product of (f^k_i)^(p^i) over the base-p digits k_i of k.
+
+        The p^i-th power is exponent scaling (see frobenius), so only the
+        digit powers, each below p, are multiplied out.
+        """
         if k < 0:
             raise InputError("negative polynomial power")
+        p = self.ring.field.p
+        result = self.ring.one()
+        q = 1
+        while k:
+            k, digit = divmod(k, p)
+            if digit:
+                result = result * self._square_and_multiply(digit).frobenius(q)
+            q *= p
+        return result
+
+    def _square_and_multiply(self, k: int):
         result = self.ring.one()
         base = self
-        while k:
+        while True:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def monic(self):
         if self.is_zero() or self.terms[0][1] == 1:

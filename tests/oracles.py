@@ -6,7 +6,8 @@ dense numpy elimination mod p in general, or a weighted union-find when
 every row has at most two nonzero entries (monomial generators, binomial
 relations).  Local colengths of non-homogeneous ideals come from one rank
 computation modulo a power of the maximal ideal.  Monomial staircases are
-also counted by brute-force enumeration.
+also counted by brute-force enumeration, and the Frobenius colengths of the
+cones xy - z^n by a lattice count in their monoid rings.
 """
 
 import numpy as np
@@ -42,6 +43,21 @@ def staircase_enumeration_count(gens, bounds):
     for g in gens:
         divisible[tuple(slice(e, None) for e in g)] = True
     return int(divisible.size - np.count_nonzero(divisible))
+
+
+def cone_frobenius_colength(n, q):
+    """lambda(R/m^[q]) for R = k[x, y, z]/(xy - z^n), by a lattice count.
+
+    R is the monoid ring k[a^n, b^n, ab] (x = a^n, y = b^n, z = ab), whose
+    monomials a^u b^v are the pairs with u = v (mod n), all linearly
+    independent.  m^[q] is spanned by the multiples of a^(nq), b^(nq) and
+    (ab)^q, so the quotient has as basis the pairs in [0, nq)^2 with
+    u = v (mod n) and not both u, v >= q.  This holds over every field.
+    """
+    u = np.arange(n * q)[:, None]
+    v = np.arange(n * q)[None, :]
+    outside = ((u - v) % n == 0) & ~((u >= q) & (v >= q))
+    return int(np.count_nonzero(outside))
 
 
 def _rank_mod_p(rows, ncols, p):

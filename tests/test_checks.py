@@ -135,6 +135,18 @@ def test_thm23_reports_hilbert_samuels_message(j_gens, param):
     assert report.detail == "precondition unmet: " + str(exc.value)
 
 
+def test_thm23_reports_a_declared_prime_that_is_a_unit_at_the_origin():
+    """P = (y, z, x - 1) is a unit near the origin, so dimension(P) raises;
+    thm23 reports that message as an unmet hypothesis."""
+    cone = ring_of(5, ("x", "y", "z"), relations=("x*y - z^2",))
+    J = _ideal(cone, ["y", "z"])
+    report = check_thm23(J, cone.var(0), [_ideal(cone, ["y", "z", "x - 1"])], 2)
+    assert report.verdict == "INAPPLICABLE"
+    assert report.detail == (
+        "precondition unmet: empty at the origin: the ideal is a unit in the local ring"
+    )
+
+
 def test_thm33_regular_equality():
     ring = ring_of(5, ("x", "y", "z"))
     report = check_thm33(_ideal(ring, ["y", "z"]), ring.var(0), [5, 25])

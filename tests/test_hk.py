@@ -14,7 +14,10 @@ from hkcalc import (
     localized_frobenius_colength,
     maximal_ideal,
 )
+from hkcalc.fixtures import fixture_by_id
+from hkcalc.parser import parse_session
 from helpers import poly_of, ring_of
+from oracles import cone_frobenius_colength
 
 
 def _ideal(ring, texts):
@@ -31,8 +34,6 @@ def test_hk_function_regular_ring():
         (3, 27, 729),
     ]
     assert all(r.ratio == 1 for r in report.rows)
-    assert report.estimate == Fraction(1)
-    assert report.estimate_method == "exact-stationary"
 
 
 def test_hk_function_quadric_cone():
@@ -42,7 +43,20 @@ def test_hk_function_quadric_cone():
     # lambda(R/m^[q]) = (3q^2 - 1)/2 for odd q
     assert [r.colength for r in report.rows] == [37, 937]
     assert report.rows[0].ratio == Fraction(37, 25)
-    assert report.estimate is None and report.estimate_method == "absent"
+
+
+@pytest.mark.parametrize(
+    "fixture_id, n", [("quadric-cone-p5", 2), ("quadric-cone-p7", 2), ("cubic-cone-p5", 3)]
+)
+def test_hk_rows_on_corpus_cones_match_lattice_count(fixture_id, n):
+    """Every row the cone fixtures compute, up to e = 3, against the monoid
+    ring's lattice count."""
+    session = parse_session(fixture_by_id(fixture_id).session_text)
+    ring = session.build_ring()
+    report = hk_function(session.ideal("m", ring), 3)
+    assert [r.colength for r in report.rows] == [
+        cone_frobenius_colength(n, r.q) for r in report.rows
+    ]
 
 
 def test_hk_function_rejects_bad_input():
@@ -73,7 +87,6 @@ def test_ehk_estimate_quadric():
     cone = ring_of(5, ("x", "y", "z"), relations=("x*y - z^2",))
     est = ehk_estimate(maximal_ideal(cone), 3)
     assert est.estimate == Fraction(4688, 3125)
-    assert est.method == "two-point-fit"
     assert abs(est.estimate - Fraction(3, 2)) <= Fraction(1, 20)
     assert est.gap == abs(est.estimate - est.last_ratio)
     with pytest.raises(InputError):
@@ -84,7 +97,6 @@ def test_ehk_estimate_exact_on_regular():
     ring = ring_of(2, ("x", "y", "z"))
     est = ehk_estimate(maximal_ideal(ring), 2)
     assert est.estimate == Fraction(1)
-    assert est.method == "exact-stationary"
     assert est.gap == 0
 
 
@@ -93,7 +105,7 @@ def test_ehk_estimate_zero_dimensional_ring():
     ring = ring_of(5, ("x",), relations=("x^2",))
     est = ehk_estimate(maximal_ideal(ring), 2)
     assert est.report.d == 0
-    assert (est.estimate, est.gap, est.method) == (2, 0, "exact-stationary")
+    assert (est.estimate, est.gap) == (2, 0)
     assert isinstance(est.estimate, Fraction)
 
 

@@ -353,6 +353,31 @@ def test_local_colength_nonhomogeneous_relation():
         assert _assert_truncation_agrees(I, gens_terms) == expected
 
 
+def test_local_colength_with_relations_vs_truncation_oracle():
+    """Non-graded ideals over F_5 on rings with relations, which the oracle
+    takes as extra generators: the same quotient.  N is the global colength
+    plus one where that is finite.  Otherwise N is the length by hand plus
+    one: near the origin z - 1 is a unit, so x*z - x, y*z - y make x = y = 0
+    and the local ring is F_5[z]_(z), where (z^3 + x) is (z^3)."""
+    cubic = ring_of(5, ("x", "y", "z"), relations=("x*y - z^3",))
+    lines = ring_of(5, ("x", "y", "z"), relations=("x*z - x", "y*z - y"))
+    cases = [
+        (cubic, ["x + y^2", "z^2 + x^3", "y^3"], 6),
+        (cubic, ["x - y^2 - z", "y^3 + z^2"], 5),
+        (cubic, ["x", "y", "z"], 1),
+        (lines, ["z^3 + x"], 3),
+        (lines, ["z^2 + y", "x + z^4"], 2),
+    ]
+    for ring, texts, expected in cases:
+        I = _ideal(ring, texts)
+        c = colength(I)
+        N = (c if is_finite(c) else expected) + 1
+        gens_terms = [list(g.terms) for g in I.generators + ring.relations]
+        assert local_colength(I) == expected, I
+        assert local_colength_truncated(5, ring.nvars, gens_terms, N) == expected, I
+    assert colength(_ideal(lines, ["z^3 + x"])) is INFINITE
+
+
 def test_dimension_zero_exactly_when_local_colength_finite():
     """On non-graded ideals the local ring has dimension 0 iff the local
     colength is finite; a unit at the origin has local colength 0 and no

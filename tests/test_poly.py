@@ -66,6 +66,43 @@ def test_pow_matches_repeated_multiplication():
         ring.one() ** (-1)
 
 
+def test_pow_by_frobenius_digits_matches_repeated_multiplication():
+    """f^k by base-p digits equals k plain products, across p^e boundaries."""
+    rng = random.Random(19)
+    for p, k_max in ((2, 9), (3, 19), (5, 27), (7, 50)):
+        ring = ring_of(p, ("x", "y"))
+        for _ in range(3):
+            f = random_poly(rng, ring, max_terms=3, max_exp=2)
+            by_mult = ring.one()
+            for k in range(k_max + 1):
+                assert f**k == by_mult, (p, k)
+                by_mult = by_mult * f
+            for e in range(3):
+                assert f ** (p**e) == f.frobenius(p**e)
+
+
+def test_pow_multiplies_out_only_the_digit_powers(monkeypatch):
+    """(x+y+z+w+1)^49 over F_7 is one Frobenius scaling of f: two products,
+    where squaring to f^49 would expand up to C(52, 4) terms."""
+    ring = ring_of(7, ("x", "y", "z", "w"))
+    f = poly_of(ring, "x + y + z + w + 1")
+    products = []
+    multiply = Polynomial.__mul__
+
+    def counting(a, b):
+        products.append((a, b))
+        return multiply(a, b)
+
+    f49 = poly_of(ring, "x^49 + y^49 + z^49 + w^49 + 1")
+    f50 = f49 * f
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    assert f**49 == f49
+    assert len(products) <= 2
+    products.clear()
+    assert f**50 == f50
+    assert len(products) <= 4
+
+
 def test_frobenius_matches_power_oracle():
     """f^q by exponent scaling agrees with repeated squaring, and is additive."""
     rng = random.Random(17)
