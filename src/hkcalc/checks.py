@@ -7,8 +7,8 @@ involved, and are printed), or INAPPLICABLE naming the unmet precondition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InputError
 from .hk import ehk_estimate, localized_frobenius_colength
@@ -31,8 +31,7 @@ INAPPLICABLE = "INAPPLICABLE"
 EHK_TOLERANCE = Fraction(1, 20)
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     check_id: str
     inputs: dict
     quantities: dict

@@ -187,7 +187,7 @@ def _cmd_check(args):
         )
     elif which == "thm23":
         names = args.primes.split(",") if args.primes else []
-        primes = [session.prime(name.strip(), ring)[0] for name in names]
+        primes = [session.prime(name.strip(), ring) for name in names]
         report = check_thm23(
             session.ideal(args.ideal_j, ring),
             session.param(args.param, ring),
@@ -195,7 +195,7 @@ def _cmd_check(args):
             args.emax,
         )
     elif which == "thm33":
-        prime, _height = session.prime(args.prime, ring)
+        prime = session.prime(args.prime, ring)
         report = check_thm33(prime, session.param(args.param, ring), _q_list(args.q))
     else:  # rescaling: argparse admits no other choice
         report = check_rescaling(ring, args.e)

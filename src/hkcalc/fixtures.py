@@ -8,9 +8,8 @@ derive everything from the given seed, so runs are reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .checks import (
     EHK_TOLERANCE,
@@ -31,8 +30,7 @@ from .parser import parse_polynomial, parse_session
 SINGULAR_MARGIN = Fraction(1, 5)
 
 
-@dataclass
-class Fixture:
+class Fixture(NamedTuple):
     """A session and its runner.  run() parses session_text, builds its ring
     once and calls runner(session, ring, seed), which returns the check
     reports and the expectations, each as a list of dicts."""
@@ -112,7 +110,7 @@ def _cone_session(p, n):
         "mod x*y - z^%d\n"
         "ideal m = x, y, z\n"
         "ideal J = y, z\n"
-        "prime P = y, z height 2\n"
+        "prime P = y, z\n"
         "param f = x\n" % (p, n)
     )
 
@@ -138,7 +136,7 @@ def _run_cone(n):
                 ok=est.estimate > 1 + SINGULAR_MARGIN,
             ),
         ]
-        prime, _height = session.prime("P", ring)
+        prime = session.prime("P", ring)
         x = session.param("f", ring)
         p = ring.field.p
         checks = [
@@ -154,12 +152,12 @@ def _run_cone(n):
 # -- the thm33 check on a regular ambient ring --------------------------------
 
 _THM33_REGULAR_SESSION = (
-    "char 5\nvars x y z\nideal m = x, y, z\nprime P = y, z height 2\nparam f = x\n"
+    "char 5\nvars x y z\nideal m = x, y, z\nprime P = y, z\nparam f = x\n"
 )
 
 
 def _run_thm33_regular(session, ring, seed):
-    prime, _ = session.prime("P", ring)
+    prime = session.prime("P", ring)
     x = session.param("f", ring)
     report = check_thm33(prime, x, [5, 25])
     expectations = [

@@ -7,8 +7,8 @@ core.  Display rounding, if any, is the CLI's business.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import AssociativityRatioError, InputError
 from .ideals import Ideal
@@ -16,16 +16,14 @@ from .lengths import dimension, hilbert_samuel, is_finite, local_colength
 from .poly import Polynomial
 
 
-@dataclass(frozen=True)
-class HKRow:
+class HKRow(NamedTuple):
     e: int
     q: int
     colength: int
     ratio: Fraction  # colength / q^d, exact
 
 
-@dataclass(frozen=True)
-class HKReport:
+class HKReport(NamedTuple):
     d: int
     rows: tuple
 
@@ -54,8 +52,7 @@ def hk_function(I: Ideal, e_max: int) -> HKReport:
     return HKReport(d=d, rows=tuple(rows))
 
 
-@dataclass(frozen=True)
-class EHKEstimate:
+class EHKEstimate(NamedTuple):
     estimate: Fraction
     last_ratio: Fraction
     gap: Fraction  # |estimate - last ratio|, a convergence diagnostic

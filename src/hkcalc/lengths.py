@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CertificationError, InputError
 from .ideals import Ideal
@@ -263,8 +263,7 @@ def require_parameter(x: Polynomial, J: Ideal) -> None:
         raise InputError("the given element is not a parameter on R/J")
 
 
-@dataclass(frozen=True)
-class MultiplicityResult:
+class MultiplicityResult(NamedTuple):
     value: int
     stabilized_at: int
     certified: bool

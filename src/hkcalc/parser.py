@@ -8,20 +8,21 @@ Session files look like::
     order grevlex
     mod x*y - z^2
     ideal m = x, y, z
-    prime P = y, z height 2
+    prime P = y, z
     param f = x
 
 Polynomials use integer coefficients, ``+ - * ^`` and parentheses, are
 whitespace-insensitive, and are reduced mod p on the spot.  Errors carry
-line and column positions.  Every polynomial of a session belongs to one
-PolynomialRing (its field, variables and order); ``build_ring`` adds the
-relations to make a PresentedRing.
+line and column positions.  A ``prime`` line reads like an ``ideal`` line;
+the checks that take a prime test the hypotheses they need.  Every
+polynomial of a session belongs to one PolynomialRing (its field, variables
+and order); ``build_ring`` adds the relations to make a PresentedRing.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 from .errors import InputError
 from .field import PrimeField
@@ -146,17 +147,16 @@ def parse_polynomial(text, line, col0, ring) -> Polynomial:
     return _PolyParser(text, line, col0, ring).parse()
 
 
-@dataclass
-class SessionInput:
+class SessionInput(NamedTuple):
     """A parsed session: ring presentation plus named ideals, primes, params."""
 
     p: int
     variables: tuple
     order_kind: str
     relations: tuple  # of Polynomial, all in the session's PolynomialRing
-    ideals: dict = dc_field(default_factory=dict)  # name -> tuple of Polynomial
-    primes: dict = dc_field(default_factory=dict)  # name -> (gens tuple, declared height)
-    params: dict = dc_field(default_factory=dict)  # name -> Polynomial
+    ideals: dict  # name -> tuple of Polynomial
+    primes: dict  # name -> tuple of Polynomial
+    params: dict  # name -> Polynomial
 
     def build_ring(self, order_kind=None) -> PresentedRing:
         order = MonomialOrder(order_kind or self.order_kind)
@@ -166,17 +166,17 @@ class SessionInput:
         return [ring.poly(g.terms) for g in polys]
 
     def ideal(self, name, ring: PresentedRing) -> Ideal:
-        if name in self.ideals:
-            return Ideal(ring, self._rebuild(self.ideals[name], ring))
+        """The ideal or prime called name."""
         if name in self.primes:
-            return Ideal(ring, self._rebuild(self.primes[name][0], ring))
-        raise InputError("unknown ideal %r" % name)
+            return self.prime(name, ring)
+        if name not in self.ideals:
+            raise InputError("unknown ideal %r" % name)
+        return Ideal(ring, self._rebuild(self.ideals[name], ring))
 
-    def prime(self, name, ring: PresentedRing):
+    def prime(self, name, ring: PresentedRing) -> Ideal:
         if name not in self.primes:
             raise InputError("unknown prime %r" % name)
-        gens, height = self.primes[name]
-        return Ideal(ring, self._rebuild(gens, ring)), height
+        return Ideal(ring, self._rebuild(self.primes[name], ring))
 
     def param(self, name, ring: PresentedRing) -> Polynomial:
         if name not in self.params:
@@ -192,10 +192,9 @@ class SessionInput:
         ]
         for r in self.relations:
             out.append("mod %s" % r.render())
-        for name, gens in self.ideals.items():
-            out.append("ideal %s = %s" % (name, ", ".join(g.render() for g in gens)))
-        for name, (gens, h) in self.primes.items():
-            out.append("prime %s = %s height %d" % (name, ", ".join(g.render() for g in gens), h))
+        for keyword, table in (("ideal", self.ideals), ("prime", self.primes)):
+            for name, gens in table.items():
+                out.append("%s %s = %s" % (keyword, name, ", ".join(g.render() for g in gens)))
         for name, g in self.params.items():
             out.append("param %s = %s" % (name, g.render()))
         return "\n".join(out) + "\n"
@@ -299,16 +298,11 @@ def parse_session(text: str) -> SessionInput:
                 raise InputError("line %d: name %r already in use" % (lineno, name))
             seen_names.add(name)
             rhs_col = col0 + rest.index("=") + 1
-            if keyword == "ideal":
-                ideals[name] = parse_gen_list(rhs, lineno, rhs_col)
-            elif keyword == "param":
+            if keyword == "param":
                 params[name] = parse_poly(rhs.strip(), lineno, rhs_col)
             else:
-                m = re.search(r"\bheight\s+(\d+)\s*$", rhs)
-                if not m:
-                    raise InputError("line %d: prime declaration needs 'height <h>'" % lineno)
-                gens = parse_gen_list(rhs[: m.start()].rstrip().rstrip(","), lineno, rhs_col)
-                primes[name] = (gens, int(m.group(1)))
+                table = ideals if keyword == "ideal" else primes
+                table[name] = parse_gen_list(rhs, lineno, rhs_col)
         else:
             raise InputError("line %d: unknown directive %r" % (lineno, keyword))
 

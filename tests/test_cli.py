@@ -13,7 +13,7 @@ mod x*y - z^2
 ideal m = x, y, z
 ideal J = y, z
 ideal I2 = x^2, y, z
-prime P = y, z height 2
+prime P = y, z
 param f = x
 """
 
@@ -23,7 +23,7 @@ NOT_PRIME = """\
 char 3
 vars x y z
 mod y^2 - z^3
-prime P = y^2 - x^3*y, y*z - x^2*y, y*z - x^3*z, z^2 - x^2*z height 1
+prime P = y^2 - x^3*y, y*z - x^2*y, y*z - x^3*z, z^2 - x^2*z
 param f = x
 """
 
@@ -165,6 +165,10 @@ def test_exit_code_input_errors(capsys, tmp_path, session_file):
     bad.write_text("char 4\nvars x\n")
     code, _, err = _run(capsys, ["dim", "--in", str(bad), "--ideal", "m"])
     assert code == 2 and "prime" in err
+    # a prime line reads like an ideal line, so a trailing height is a stray token
+    bad.write_text(QUADRIC.replace("prime P = y, z", "prime P = y, z height 2"))
+    code, _, err = _run(capsys, ["dim", "--in", str(bad), "--ideal", "m"])
+    assert code == 2 and "line 7, column 16: unexpected token 'height'" in err, err
     code, _, err = _run(capsys, ["dim", "--in", session_file, "--ideal", "missing"])
     assert code == 2 and "unknown ideal" in err
     code, _, _ = _run(capsys, ["dim", "--in", session_file, "--ideal", "m", "--jobs", "1"])
@@ -205,7 +209,7 @@ def test_thm33_non_parameter_reported(capsys, tmp_path):
 
 def test_thm23_prime_unit_at_origin_reported(capsys, tmp_path):
     path = tmp_path / "quadric.hk"
-    path.write_text(QUADRIC + "prime U = y, z, x - 1 height 2\n")
+    path.write_text(QUADRIC + "prime U = y, z, x - 1\n")
     code, out, err = _run(
         capsys,
         ["check", "thm23", "--in", str(path), "--ideal-j", "J", "--param", "f", "--primes", "U"],
@@ -290,8 +294,8 @@ ideal U = x - 1
 ideal K = x^2 + y^3, x*y
 ideal m = x, y
 ideal L = x^2 + y^3
-prime C = x^2 + y^3 height 1
-prime Q = x height 1
+prime C = x^2 + y^3
+prime Q = x
 param g = y
 param h = x
 """

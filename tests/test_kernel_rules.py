@@ -17,7 +17,6 @@ STDLIB = {
     "bisect",
     "contextvars",
     "csv",
-    "dataclasses",
     "fractions",
     "heapq",
     "io",

@@ -1,6 +1,9 @@
+import pathlib
+
 import pytest
 
-from hkcalc import InputError, PolynomialRing, parse_polynomial, parse_session
+from hkcalc import Ideal, InputError, PolynomialRing, parse_polynomial, parse_session
+from hkcalc.fixtures import corpus
 from helpers import ring_of
 
 QUADRIC = """\
@@ -11,7 +14,7 @@ order grevlex
 mod x*y - z^2
 ideal m = x, y, z
 ideal J = y, z
-prime P = y, z height 2
+prime P = y, z
 param f = x
 """
 
@@ -25,22 +28,43 @@ def test_parse_session_quadric():
     assert len(ring.relations) == 1
     m = session.ideal("m", ring)
     assert len(m.generators) == 3
-    P, height = session.prime("P", ring)
-    assert height == 2
+    P = session.prime("P", ring)
+    assert isinstance(P, Ideal)
     assert len(P.generators) == 2
     f = session.param("f", ring)
     assert f == ring.var(0)
     # a prime can also be fetched as a plain ideal
-    assert session.ideal("P", ring).same_ideal(P)
+    as_ideal = session.ideal("P", ring)
+    assert as_ideal.generators == P.generators and as_ideal.same_ideal(P)
+
+
+def _readme_session():
+    """The session example of the README's CLI section."""
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    start = readme.index("```\n", readme.index("reads a session file")) + 4
+    return readme[start : readme.index("```", start)]
+
+
+def _terms(session):
+    """The terms of each polynomial of session, by table and name."""
+    params = {name: (g,) for name, g in session.params.items()}
+    return [
+        {name: [g.terms for g in polys] for name, polys in table.items()}
+        for table in ({"mod": session.relations}, session.ideals, session.primes, params)
+    ]
 
 
 def test_session_roundtrip_through_to_text():
-    session = parse_session(QUADRIC)
-    again = parse_session(session.to_text())
-    ring = session.build_ring()
-    assert again.to_text() == session.to_text()
-    assert again.variables == session.variables
-    assert again.ideal("m", ring).same_ideal(session.ideal("m", ring))
+    """Every corpus session and the README example reparse from to_text()."""
+    texts = {f.fixture_id: f.session_text for f in corpus()}
+    texts["readme"] = _readme_session()
+    for name, text in texts.items():
+        session = parse_session(text)
+        canonical = session.to_text()
+        again = parse_session(canonical)
+        assert again.to_text() == canonical, name
+        assert again.variables == session.variables, name
+        assert _terms(again) == _terms(session), name
 
 
 def test_order_override():
@@ -61,7 +85,7 @@ def test_session_polynomials_share_one_relation_free_ring():
     session = parse_session(QUADRIC)
     polys = list(session.relations) + list(session.params.values())
     polys += [g for gens in session.ideals.values() for g in gens]
-    polys += [g for gens, _ in session.primes.values() for g in gens]
+    polys += [g for gens in session.primes.values() for g in gens]
     assert len({id(g.ring) for g in polys}) == 1
     assert isinstance(polys[0].ring, PolynomialRing)
     assert polys[0].ring == session.build_ring().ambient
@@ -93,7 +117,7 @@ def test_unknown_names_rejected():
         ("char 5\nvars x\nideal I = x\nideal I = x\n", "already in use"),
         ("char 5\nvars x\nideal x = x\n", "already in use"),
         ("char 5\nvars x\nideal I = x,,x\n", "empty generator"),
-        ("char 5\nvars x\nprime P = x\n", "height"),
+        ("char 5\nvars x\nprime P = x height 1\n", "unexpected token 'height'"),
         ("char 5\nvars x y\nideal I = x + w\n", "unknown variable 'w'"),
         ("char 5\n", "missing 'vars'"),
         ("vars x\n", "missing 'char'"),
@@ -150,3 +174,77 @@ def test_comments_and_blank_lines_ignored():
     session = parse_session("# header\n\nchar 5  # five\nvars x\nideal I = x # gen\n")
     assert session.p == 5
     assert len(session.ideals["I"]) == 1
+
+
+# The names that edits insert: variables, session names and keywords.
+NAMES = ("x", "y", "z", "m", "P", "f", "height", "lex", "char", "ideal")
+
+
+def _edit(text, edits):
+    """text with each (token, back) applied at back characters from its end:
+    a token is inserted there, or with token None the character there is
+    dropped unless it is a digit or a space, so that no edit joins two
+    integers into a larger one."""
+    for token, back in edits:
+        at = len(text) - back % (len(text) + 1)
+        if token is not None:
+            text = text[:at] + token + text[at:]
+        elif text[at : at + 1] not in "0123456789 ":
+            text = text[:at] + text[at + 1 :]
+    return text
+
+
+def test_parse_session_returns_or_raises_input_error_property():
+    """Session texts built from the directives, names, operators and
+    integers parse or raise InputError, and nothing else.
+
+    A text is a header and well-formed lines, then up to three edits that
+    insert a token or drop a character, most often near the end, so most
+    texts reach their polynomials and fail, if at all, at an edit.  No
+    integer exceeds 20 and a power's base is a variable or a sum of two, so
+    no polynomial grows large."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    var = st.sampled_from(("x", "y", "z"))
+    integer = st.integers(0, 20).map(str)
+    factor = st.one_of(
+        var,
+        integer,
+        st.builds("{}^{}".format, var, integer),
+        st.builds("({} + {})^{}".format, var, var, integer),
+    )
+    product = st.builds(" * ".join, st.lists(factor, min_size=1, max_size=3))
+    poly = st.builds(" - ".join, st.lists(product, min_size=1, max_size=3))
+    gens = st.builds(", ".join, st.lists(poly, min_size=1, max_size=3))
+    label = st.sampled_from(("I", "J", "K", "P", "Q", "f", "g", "m"))
+    line = st.one_of(
+        st.builds("mod {}".format, poly),
+        st.builds("{} {} = {}".format, st.sampled_from(("ideal", "prime")), label, gens),
+        st.builds("param {} = {}".format, label, poly),
+    )
+    header = st.sampled_from(
+        ("char 5\nvars x y z", "char 2\nvars x y z\norder lex", "char 3\nvars x y")
+    )
+    token = st.one_of(
+        st.builds(" {} ".format, st.one_of(st.sampled_from(NAMES), integer)),
+        st.sampled_from(tuple("+-*^(),=\n")),
+        st.none(),
+    )
+    edits = st.lists(st.tuples(token, st.integers(0, 400)), max_size=3)
+    sessions = st.builds(
+        lambda head, lines, edits: _edit("\n".join([head] + lines), edits),
+        header,
+        st.lists(line, max_size=5),
+        edits,
+    )
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @hypothesis.given(sessions)
+    def parses_or_rejects(text):
+        try:
+            parse_session(text)
+        except InputError:
+            pass
+
+    parses_or_rejects()
