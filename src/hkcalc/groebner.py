@@ -1,11 +1,11 @@
 """Buchberger's algorithm, normal forms, and reduced Groebner bases.
 
-Selection follows the normal strategy (minimal S-pair lcm in the ambient
-order).  Redundant pairs are dropped as each element is added, by the
-Gebauer-Moller update (J. Symb. Comp. 6, 1988), not at selection; the
-update runs on leading monomials packed into ints, so a divisibility test
-is one subtract-and-mask.  S-polynomials are built straight into the term
-dict that normal_form reduces.  The elements left active at the end are
+Each computation packs its monomials into ints by one _Packing, whose
+integer order is the monomial order, and unpacks its results once.
+Selection follows the normal strategy (minimal S-pair lcm).  Redundant
+pairs are dropped as each element is added, by the Gebauer-Moller update
+(J. Symb. Comp. 6, 1988).  Each term is reduced by the first element, in
+basis order, whose leading term divides it.  The elements left active are
 the minimal basis, which is then tail-reduced.  All tie-breaking is by
 fixed generator ordering, so results are bit-reproducible.
 """
@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import contextvars
 import heapq
-from bisect import bisect_left, bisect_right
-from operator import add, sub
 
 from .errors import InputError, ResourceLimitError
 from .poly import Polynomial
@@ -27,167 +25,212 @@ DEFAULT_SPAIR_CAP = 10**6
 SPAIR_CAP = contextvars.ContextVar("SPAIR_CAP", default=DEFAULT_SPAIR_CAP)
 
 
-class _LeadIndex:
-    """The leading terms of a polynomial list, indexed for divisibility.
+class _Packing:
+    """Monomials packed into ints (Roune-Stillman, ISSAC 2012; Monagan-Pearce,
+    J. Symb. Comp. 46, 2011).
 
-    For each variable, `exps` holds the distinct leading exponents in
-    ascending order, and `masks[t]` the bitmask of the list positions whose
-    exponent is one of exps[:t].  The positions whose leading term divides m
-    are then one bisect and one AND per variable.  Each position also keeps
-    its reducer: (lm, 1/lc, terms).
+    Low to high: a field per variable (the first on top, for grevlex at the
+    bottom), then the order's weights: the degree for grlex, and for grevlex
+    the prefix sums s_0, ..., s_{n-1} of the exponents, one multiply by
+    1 + B + ... + B^(n-1).  So integer order is the monomial order, + is
+    multiplication, and while the fields fit, u divides v iff
+    (v - u) & guard == 0, and a sum overflows iff it sets a guard bit.
     """
 
-    __slots__ = ("ring", "exps", "masks", "reducers")
+    __slots__ = ("nvars", "reverse", "weights", "low", "bits", "width", "guard", "ones", "exps")
 
     def __init__(self, ring: PolynomialRing, polys=()):
-        self.ring = ring
-        self.exps = [[] for _ in range(ring.nvars)]
-        self.masks = [[0] for _ in range(ring.nvars)]
-        self.reducers = []
-        for g in polys:
-            if not g.is_zero():
-                self.add(g)
+        kind, n = ring.order.kind, ring.nvars
+        self.nvars, self.reverse = n, kind == "grevlex"
+        # The weight fields, and the field of v * ones where they start.
+        self.weights, self.low = {"lex": (0, 0), "grlex": (1, n - 1), "grevlex": (n, 0)}[kind]
+        self.widen(self.fitting(m for g in polys for m, _ in g.terms))
 
-    def add(self, g: Polynomial) -> None:
-        """Append g (nonzero) as the next position."""
-        if not self.ring.owns(g):
-            raise InputError("operands live in different rings")
-        bit = 1 << len(self.reducers)
-        lm = g.lm
-        for e, exps, masks in zip(lm, self.exps, self.masks):
-            t = bisect_left(exps, e)
-            if t == len(exps) or exps[t] != e:
-                exps.insert(t, e)
-                masks.insert(t + 1, masks[t])
-            for u in range(t + 1, len(masks)):
-                masks[u] |= bit
-        lc = g.lc
-        self.reducers.append((lm, 1 if lc == 1 else self.ring.field.inv(lc), g.terms))
+    def fitting(self, monos) -> int:
+        """Value bits for four times any field of these exponent tuples, so a
+        basis can outgrow its generators before it widens."""
+        size = sum if self.weights else max
+        return max(1, (4 * max(map(size, monos), default=0)).bit_length())
 
-    def dividing(self, m) -> int:
-        """Bitmask of the positions whose leading term divides m."""
-        mask = -1
-        for e, exps, masks in zip(m, self.exps, self.masks):
-            mask &= masks[bisect_right(exps, e)]
-        return mask
-
-
-class _PackedMonomials:
-    """Monomials packed into one int (Roune-Stillman, ISSAC 2012).
-
-    Each variable has a field of `bits` value bits and one guard bit above
-    them, lowest variable lowest.  While every exponent fits its field, u
-    divides v iff (v - u) & guard == 0, u and v are coprime iff
-    lcm(u, v) == u + v, and a strict divisor of v packs to a smaller int.
-    `widen` grows the fields to fit the exponents it is shown, so they
-    never overflow; values packed before a widening must be packed again.
-    """
-
-    __slots__ = ("bits", "guard")
-
-    def __init__(self):
-        self.bits = -1  # no width yet
-        self.guard = 0
-
-    def widen(self, m) -> bool:
-        """Make every exponent of m fit; True iff the packing changed."""
-        bits = max(m).bit_length()
-        if bits <= self.bits:
-            return False
+    def widen(self, bits: int) -> None:
+        """Grow the fields to `bits` value bits; `repack` moves older values."""
+        width = self.width = bits + 1
         self.bits = bits
-        self.guard = sum(1 << ((bits + 1) * i + bits) for i in range(len(m)))
-        return True
+        self.guard = sum(1 << (width * i + bits) for i in range(self.nvars + self.weights))
+        self.ones = sum(1 << width * i for i in range(self.nvars))
+        self.exps = (1 << width * self.nvars) - 1
+
+    def repack(self, v: int, bits: int) -> int:
+        """v, packed with fields of `bits` value bits, packed at this width."""
+        w, mask = bits + 1, (1 << bits) - 1
+        return sum((v >> w * i & mask) << self.width * i for i in range(self.nvars + self.weights))
+
+    def weigh(self, v: int) -> int:
+        """The packed monomial with exponent part v."""
+        w = self.width
+        return v | (v * self.ones >> w * self.low & (1 << w * self.weights) - 1) << w * self.nvars
 
     def pack(self, m) -> int:
-        width = self.bits + 1
         v = 0
-        for e in reversed(m):
-            v = (v << width) | e
-        return v
+        for e in reversed(m) if self.reverse else m:
+            v = v << self.width | e
+        return self.weigh(v)
 
-    def lcm(self, u: int, v: int) -> int:
-        """Fieldwise max: a field's guard survives (u | guard) - v iff u >= v there."""
+    def unpack(self, v: int) -> tuple:
+        w, mask = self.width, (1 << self.bits) - 1
+        m = [v >> w * i & mask for i in range(self.nvars)]
+        return tuple(m if self.reverse else reversed(m))
+
+    def fieldmax(self, u: int, v: int) -> int:
+        """A field's guard survives (u | guard) - v iff u >= v there."""
         guard = self.guard
         ge = ((u | guard) - v) & guard
         return v ^ ((u ^ v) & (ge - (ge >> self.bits)))
 
 
-def normal_form(f: Polynomial, basis) -> Polynomial:
-    """Fully reduce f modulo `basis`, a polynomial list or a _LeadIndex.
+class _TermDict:
+    """An unsorted polynomial: `terms` maps each monomial, an exponent tuple
+    or an int of `packing`, to its nonzero coefficient mod p.  A reducer is
+    monic, largest term first, with `lm` and `top`, its fieldwise max."""
 
-    f is a Polynomial or an S-polynomial made by s_polynomial.
-    Every reducible term is rewritten by the first basis element (in the
-    given fixed order) whose leading term divides it, largest terms first.
-    The remainder has no term divisible by any leading term of the basis.
-    """
-    ring = f.ring
-    if isinstance(basis, _LeadIndex):
-        if not basis.ring.owns(f):
+    __slots__ = ("ring", "terms", "packing", "lm", "top")
+
+    def __init__(self, ring: PolynomialRing, terms: dict, packing=None):
+        self.ring, self.terms, self.packing = ring, terms, packing
+
+    def polynomial(self) -> Polynomial:
+        """Unpacked; the terms must be largest first."""
+        unpack = self.packing.unpack
+        return Polynomial._canonical(self.ring, tuple((unpack(m), c) for m, c in self.terms.items()))
+
+
+class _Reducers:
+    """Reducers of one _Packing, in basis order: packed monic _TermDicts."""
+
+    __slots__ = ("ring", "packing", "polys")
+
+    def __init__(self, ring: PolynomialRing, polys=(), packing=None):
+        self.ring, self.packing, self.polys = ring, packing or _Packing(ring, polys), []
+        for g in polys:
+            if not g.is_zero():
+                self.add(g)
+
+    def pack(self, terms) -> dict:
+        """Terms of the ring, packed; the fields widen to fit them."""
+        terms = dict(terms)
+        bits = self.packing.fitting(terms)
+        if bits > self.packing.bits:
+            self.widen(bits)
+        return {self.packing.pack(m): c for m, c in terms.items()}
+
+    def add(self, g) -> _TermDict:
+        """Append g, a nonzero Polynomial of the ring or packed _TermDict, made monic."""
+        if isinstance(g, _TermDict):
+            terms = g.terms
+        elif self.ring.owns(g):
+            terms = self.pack(g.terms)
+        else:
             raise InputError("operands live in different rings")
-    else:
-        basis = _LeadIndex(ring, basis)
-    dividing = basis.dividing
-    reducers = basis.reducers
-    p = ring.field.p
-    key = ring.order.key
-    work = dict(f.terms)
+        inv, p = self.ring.field.inv(next(iter(terms.values()))), self.ring.field.p
+        if inv != 1:
+            terms = {m: c * inv % p for m, c in terms.items()}
+        h = _TermDict(self.ring, terms, self.packing)
+        h.lm = top = next(iter(terms))
+        guard, bits = self.packing.guard, self.packing.bits
+        for m in terms:  # top = fieldmax(top, m), inlined
+            ge = ((top | guard) - m) & guard
+            top = m ^ ((top ^ m) & (ge - (ge >> bits)))
+        h.top = top
+        self.polys.append(h)
+        return h
+
+    def find(self, m: int):
+        """The first reducer whose leading monomial divides m, or None."""
+        guard = self.packing.guard
+        for g in self.polys:
+            if not (m - g.lm) & guard:
+                return g
+        return None
+
+    def widen(self, bits: int) -> None:
+        old, repack = self.packing.bits, self.packing.repack
+        self.packing.widen(bits)
+        for g in self.polys:
+            g.terms = {repack(m, old): c for m, c in g.terms.items()}
+            g.lm, g.top = repack(g.lm, old), repack(g.top, old)
+
+
+def normal_form(f, basis):
+    """Fully reduce f modulo `basis`, a polynomial list or a _Reducers.
+
+    f is a Polynomial or an S-polynomial made by s_polynomial; if f is
+    packed by the basis's packing, so is the remainder.  Every reducible
+    term is rewritten by the first basis element (in the given fixed order)
+    whose leading term divides it, largest terms first, so no term of the
+    remainder is divisible by a leading term of the basis."""
+    ring = f.ring
+    if not isinstance(basis, _Reducers):
+        basis = _Reducers(ring, basis)
+    elif not basis.ring.owns(f):
+        raise InputError("operands live in different rings")
+    packing = basis.packing
+    packed = isinstance(f, _TermDict) and f.packing is packing
+    work = dict(f.terms) if packed else basis.pack(f.terms)
+    guard, find, p = packing.guard, basis.find, ring.field.p
     out = {}
     while work:
-        m = max(work, key=key)
-        mask = dividing(m)
-        if not mask:
+        m = max(work)
+        g = find(m)
+        if g is None:
             out[m] = work.pop(m)
             continue
-        # The lowest set bit is the first divisor in the basis order.
-        lm, lcinv, terms = reducers[(mask & -mask).bit_length() - 1]
-        # Subtract (c / lc(g)) * x^(m - lm) * g; the leading term of the
-        # product cancels m exactly.
-        shift = tuple(map(sub, m, lm))
-        coef = work[m] * lcinv % p
-        for mg, cg in terms:
-            mm = tuple(map(add, mg, shift))
-            v = (work.get(mm, 0) - coef * cg) % p
+        shift = m - g.lm
+        if (shift + g.top) & guard:
+            # A product would overflow, as lex terms may: widen and redo the step.
+            bits = packing.bits
+            basis.widen(bits + 1)
+            guard = packing.guard
+            work, out = ({packing.repack(u, bits): c for u, c in d.items()} for d in (work, out))
+            continue
+        # Subtract c * x^shift * g, g monic; its leading term cancels m.
+        c = work[m]
+        for mg, cg in g.terms.items():
+            mm = mg + shift
+            v = (work.get(mm, 0) - c * cg) % p
             if v:
                 work[mm] = v
             elif mm in work:
                 del work[mm]
     # Terms were popped largest first, and reduction only adds smaller ones.
-    return Polynomial._canonical(ring, tuple(out.items()))
+    out = _TermDict(ring, out, packing)
+    return out if packed else out.polynomial()
 
 
-class _TermDict:
-    """An unsorted polynomial: `terms` maps each monomial to its nonzero
-    coefficient mod p.  normal_form reduces it like a Polynomial."""
-
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring: PolynomialRing, terms: dict):
-        self.ring = ring
-        self.terms = terms
-
-
-def s_polynomial(f: Polynomial, g: Polynomial) -> _TermDict:
+def s_polynomial(f, g):
     """S(f, g) for the pair's critical lcm; operands need not be monic.
 
-    The leading terms cancel, so only the two tails are multiplied out, into
-    the unsorted term dict normal_form starts from: S-polynomials are made
-    to be reduced, so none is sorted into a Polynomial.  Pass its
-    `terms.items()` to Polynomial for a sorted one."""
-    f._check(g)
-    p = f.ring.field.p
-    flm, glm = f.lm, g.lm
-    lcm = tuple(map(max, flm, glm))
-    sf, sg = tuple(map(sub, lcm, flm)), tuple(map(sub, lcm, glm))
-    cf, cg = g.lc, p - f.lc
-    terms = {tuple(map(add, m, sf)): c * cf % p for m, c in f.terms[1:]}
-    for m, c in g.terms[1:]:
-        m = tuple(map(add, m, sg))
-        v = (terms.get(m, 0) + c * cg) % p
+    It is the unsorted term dict normal_form starts from.  Of Polynomials it
+    has exponent tuples; pass its `terms.items()` to Polynomial for a sorted
+    one.  Of two reducers it is packed: _buchberger keeps it in range."""
+    ring, packed, k = f.ring, isinstance(f, _TermDict), 1
+    if not packed:
+        f._check(g)
+        k = f.lc * g.lc  # S(f, g) = k S(f / lc(f), g / lc(g))
+        f, g = _Reducers(ring, (f, g)).polys
+    p, packing = ring.field.p, f.packing
+    lcm = packing.weigh(packing.fieldmax(f.lm, g.lm) & packing.exps)
+    sf, sg = lcm - f.lm, lcm - g.lm
+    terms = {m + sf: c * k % p for m, c in f.terms.items()}
+    for m, c in g.terms.items():
+        m += sg
+        v = (terms.get(m, 0) - c * k) % p
         if v:
             terms[m] = v
         else:
-            terms.pop(m, None)
-    return _TermDict(f.ring, terms)
+            del terms[m]  # the leading terms cancel
+    if packed:
+        return _TermDict(ring, terms, packing)
+    return _TermDict(ring, {packing.unpack(m): c for m, c in terms.items()})
 
 
 class GroebnerBasis:
@@ -212,7 +255,7 @@ class GroebnerBasis:
         if not self.elements:
             return f
         if self._index is None:
-            self._index = _LeadIndex(self.ring, self.elements)
+            self._index = _Reducers(self.ring, self.elements)
         return normal_form(f, self._index)
 
     def contains(self, f: Polynomial) -> bool:
@@ -236,33 +279,30 @@ class GroebnerBasis:
 
 
 def _minimal(ring, basis):
-    """Elements whose leading term no smaller element's divides, ascending.
+    """The monic elements whose leading term no smaller one's divides, ascending.
     Only monomial ideals need this; _buchberger's output is minimal."""
-    key = ring.order.key
-    index = _LeadIndex(ring)
-    minimal = []
-    for g in sorted(basis, key=lambda g: key(g.lm)):
-        if not index.dividing(g.lm):
-            index.add(g)
-            minimal.append(g)
-    return minimal
+    minimal = _Reducers(ring, packing=_Packing(ring, basis))
+    pack = minimal.packing.pack
+    for g in sorted(basis, key=lambda g: pack(g.lm)):
+        if minimal.find(pack(g.lm)) is None:
+            minimal.add(g)
+    return [g.polynomial() for g in minimal.polys]
 
 
-def _interreduce(ring, basis):
-    """Tail-reduce a minimal basis, sorted ascending by leading term.
+def _interreduce(basis):
+    """Tail-reduce and unpack a minimal basis, _Reducers sorted ascending.
 
     Only a smaller leading term divides a term of g below lm(g), so reducing
     in ascending order against the elements already reduced takes the same
     steps as reducing against all the others.  Tail reduction keeps every
     leading term, so the result stays sorted."""
-    if len(basis) == 1:
-        return [basis[0].monic()]
-    reduced = []
-    index = _LeadIndex(ring)
-    for g in basis:
-        reduced.append(normal_form(g, index).monic())
-        index.add(reduced[-1])
-    return reduced
+    pending, basis.polys = basis.polys, []
+    packing, bits = basis.packing, basis.packing.bits  # the width of the pending elements
+    for g in pending:
+        if packing.bits != bits:
+            g = _TermDict(g.ring, {packing.repack(m, bits): c for m, c in g.terms.items()}, packing)
+        basis.add(normal_form(g, basis) if len(pending) > 1 else g)
+    return [g.polynomial() for g in basis.polys]
 
 
 def groebner_basis(ring: PresentedRing, gens) -> GroebnerBasis:
@@ -285,9 +325,9 @@ def groebner_basis(ring: PresentedRing, gens) -> GroebnerBasis:
     if all(g.is_monomial() for g in gens):
         # The minimal generators of a monomial ideal, made monic, are its
         # reduced basis: no tail can be reduced.
-        elements = [g.monic() for g in _minimal(ambient, gens)]
+        elements = _minimal(ambient, gens)
     else:
-        elements = _interreduce(ambient, _buchberger(ambient, gens))
+        elements = _interreduce(_buchberger(ambient, gens))
     # The bases cached on a ring share many elements (the rungs of a ladder
     # do), so they share one copy of each.
     shared = ring._elements
@@ -297,7 +337,7 @@ def groebner_basis(ring: PresentedRing, gens) -> GroebnerBasis:
 
 
 def _buchberger(ring, gens):
-    """The minimal Groebner basis of (gens), monic and sorted ascending by
+    """The minimal Groebner basis of (gens) as _Reducers, sorted ascending by
     leading term, but not tail-reduced.
 
     Redundant pairs are dropped as each element h is added, by the
@@ -314,41 +354,42 @@ def _buchberger(ring, gens):
     leading terms no later one divides are the minimal basis.
     """
     spair_cap = SPAIR_CAP.get()
-    key = ring.order.key
-    G = []
-    lms = []
-    packed = _PackedMonomials()
-    plms = []  # packed leading monomials
+    basis = _Reducers(ring, packing=_Packing(ring, gens))
+    packing, G = basis.packing, basis.polys
+    plms = []  # exponent parts of the leading monomials
+    bits = packing.bits  # the width plms and heap are packed at
     active = []
-    index = _LeadIndex(ring)
-    heap = []  # (order key of the lcm, i, k, packed lcm)
+    heap = []  # (packed lcm, i, k, its exponent part)
     pairs_made = 0
 
     def add(h):
-        nonlocal heap, pairs_made
-        h = h.monic()
+        nonlocal heap, pairs_made, bits
         j = len(G)
         pairs_made += j
         if pairs_made > spair_cap:
             raise ResourceLimitError("S-pair cap of %d exceeded" % spair_cap)
-        lm = h.lm
-        if packed.widen(lm):
-            plms[:] = map(packed.pack, lms)
-            heap = [(e[0], e[1], e[2], packed.lcm(plms[e[1]], plms[e[2]])) for e in heap]
-        p = packed.pack(lm)
-        guard, bits = packed.guard, packed.bits
-        lcm = packed.lcm
+        h = basis.add(h)
+        # Twice each monomial of h fits, so no lcm or S-polynomial overflows.
+        while (h.top + h.top) & packing.guard:
+            basis.widen(packing.bits + 1)
+        if packing.bits != bits:  # widened here or by a reduction
+            repack = packing.repack
+            plms[:] = [repack(u, bits) for u in plms]
+            heap = [(repack(e[0], bits), e[1], e[2], repack(e[3], bits)) for e in heap]
+            bits = packing.bits
+        # The update works on exponent parts, whose guard keeps the ints short.
+        p, guard, fieldmax = h.lm & packing.exps, packing.guard & packing.exps, packing.fieldmax
         # B_k, on the queued pairs (i, k) = (e[1], e[2]) with lcm e[3].
         heap = [
             e
             for e in heap
-            if (e[3] - p) & guard or lcm(plms[e[1]], p) == e[3] or lcm(plms[e[2]], p) == e[3]
+            if (e[3] - p) & guard or fieldmax(plms[e[1]], p) == e[3] or fieldmax(plms[e[2]], p) == e[3]
         ]
         # New pairs (i, j), grouped by lcm: the smallest i, and whether any
         # pair of the group has coprime leading terms (lcm = product).
         groups = {}
         for i in active:
-            # l = lcm(a, p), inlined: this loop runs for every active element.
+            # l = fieldmax(a, p), inlined: this loop runs for every active element.
             a = plms[i]
             ge = ((a | guard) - p) & guard
             l = p ^ ((a ^ p) & (ge - (ge >> bits)))
@@ -369,25 +410,24 @@ def _buchberger(ring, gens):
                 minimal.append(l)
                 i, coprime = groups[l]
                 if not coprime:
-                    heap.append((key(tuple(map(max, lms[i], lm))), i, j, l))
+                    heap.append((packing.weigh(l), i, j, l))
         heapq.heapify(heap)
         # Multiples of lm form no further pairs, but still reduce.
         active[:] = [i for i in active if (plms[i] - p) & guard]
         active.append(j)
-        G.append(h)
-        lms.append(lm)
         plms.append(p)
-        index.add(h)
 
     for g in gens:
-        h = normal_form(g, index) if G else g
-        if not h.is_zero():
+        g = _TermDict(ring, basis.pack(g.terms), packing)
+        h = normal_form(g, basis) if G else g
+        if h.terms:
             add(h)
 
     while heap:
         _, i, j, _ = heapq.heappop(heap)
-        h = normal_form(s_polynomial(G[i], G[j]), index)
-        if not h.is_zero():
+        h = normal_form(s_polynomial(G[i], G[j]), basis)
+        if h.terms:
             add(h)
 
-    return sorted((G[i] for i in active), key=lambda g: key(g.lm))
+    basis.polys = sorted((G[i] for i in active), key=lambda g: g.lm)
+    return basis

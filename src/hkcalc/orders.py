@@ -35,8 +35,7 @@ def _grevlex_key(m: tuple) -> tuple:
     return (sum(m),) + tuple(map(neg, reversed(m)))
 
 
-_KEYS = {"grevlex": _grevlex_key, "lex": _lex_key, "grlex": _grlex_key}
-ORDER_KINDS = tuple(_KEYS)
+ORDER_KINDS = ("grevlex", "lex", "grlex")
 
 
 class MonomialOrder:
@@ -48,10 +47,10 @@ class MonomialOrder:
     __slots__ = ("kind", "key")
 
     def __init__(self, kind: str):
-        if kind not in _KEYS:
+        if kind not in ORDER_KINDS:
             raise InputError("unknown monomial order %r" % kind)
         self.kind = kind
-        self.key = _KEYS[kind]
+        self.key = {"grevlex": _grevlex_key, "lex": _lex_key, "grlex": _grlex_key}[kind]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MonomialOrder) and self.kind == other.kind

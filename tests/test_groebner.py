@@ -1,5 +1,6 @@
 import contextlib
 import random
+from operator import add, le
 
 import pytest
 
@@ -12,7 +13,7 @@ from hkcalc import (
     normal_form,
     s_polynomial,
 )
-from hkcalc.groebner import SPAIR_CAP, _LeadIndex, _PackedMonomials
+from hkcalc.groebner import SPAIR_CAP, _Packing, _Reducers
 from hkcalc.orders import ORDER_KINDS
 from helpers import poly_of, polynomial_ring_of, random_poly, ring_of
 
@@ -298,45 +299,67 @@ def test_bracket_power_spair_decisions_pinned(monkeypatch, q, spolys, size):
     assert sorted(g.terms for g in basis.elements) == expected
 
 
-def test_lead_index_matches_brute_force_divisibility():
+def test_first_dividing_lead_matches_brute_force():
+    """The reducer found for m is the first in basis order whose leading
+    monomial divides m, with repeated leading monomials."""
     rng = random.Random(5)
-    for nvars in range(1, 6):
-        ring = polynomial_ring_of(5, "abcde"[:nvars])
-        for _ in range(40):
-            pool = [tuple(rng.randint(0, 3) for _ in range(nvars)) for _ in range(rng.randint(1, 8))]
-            lms = [rng.choice(pool) for _ in range(rng.randint(1, 12))]  # with repeats
-            rng.shuffle(lms)
-            index = _LeadIndex(ring, [ring.poly([(u, rng.randint(1, 4))]) for u in lms])
-            for _ in range(20):
-                m = tuple(rng.randint(0, 4) for _ in range(nvars))
-                expected = sum(1 << i for i, u in enumerate(lms) if all(a <= b for a, b in zip(u, m)))
-                assert index.dividing(m) == expected, (lms, m)
+    for kind in ORDER_KINDS:
+        for nvars in range(1, 6):
+            ring = polynomial_ring_of(5, "abcde"[:nvars], kind)
+            for _ in range(40):
+                pool = [tuple(rng.randint(0, 3) for _ in range(nvars)) for _ in range(rng.randint(1, 8))]
+                lms = [rng.choice(pool) for _ in range(rng.randint(1, 12))]  # with repeats
+                rng.shuffle(lms)
+                index = _Reducers(ring, [ring.poly([(u, rng.randint(1, 4))]) for u in lms])
+                for _ in range(20):
+                    m = tuple(rng.randint(0, 4) for _ in range(nvars))
+                    first = next((i for i, u in enumerate(lms) if all(map(le, u, m))), None)
+                    (packed,) = index.pack([(m, 1)])  # widens the fields to fit m
+                    found = index.find(packed)
+                    assert found is (None if first is None else index.polys[first]), (lms, m)
 
 
-def test_packed_monomials_match_exponent_tuples():
-    """Divisibility, lcm, coprimality and the packed order, against exponent
-    tuples, while the fields widen to fit larger exponents."""
-    rng = random.Random(8)
-    for nvars in range(1, 5):
-        packed = _PackedMonomials()
-        seen = []
-        for top in (1, 3, 6, 40, 1000, 2**40):
-            monos = [tuple(rng.randint(0, top) for _ in range(nvars)) for _ in range(8)]
-            monos += [tuple(rng.choice((0, e)) for e in m) for m in monos[:3]]  # coprime to some
-            for m in monos:
-                packed.widen(m)
-            seen += monos
-            ints = {m: packed.pack(m) for m in seen}  # packed again after widening
-            for u in monos:
-                for v in seen:
-                    for x, y in ((u, v), (v, u)):
-                        a, b = ints[x], ints[y]
-                        divides = all(s <= t for s, t in zip(x, y))
-                        assert (not (b - a) & packed.guard) == divides, (x, y)
-                        assert packed.lcm(a, b) == packed.pack(tuple(map(max, x, y)))
-                        assert (packed.lcm(a, b) == a + b) == all(not (s and t) for s, t in zip(x, y))
-                        if divides and x != y:
-                            assert a < b, (x, y)
+def test_packing_matches_exponent_tuples():
+    """For every order kind in 1-5 variables: integer order is the monomial
+    order, + multiplies, the guard test divides, lcm is right, and unpack
+    inverts pack, also once the fields have widened to exponents of 2^40."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        kind = draw(st.sampled_from(ORDER_KINDS))
+        nvars = draw(st.integers(1, 5))
+        top = draw(st.sampled_from((1, 3, 40, 1000)))
+        monos = draw(st.lists(st.tuples(*[st.integers(0, top)] * nvars), min_size=2, max_size=6))
+        wide = draw(st.lists(st.tuples(*[st.integers(0, 2**40)] * nvars), max_size=2))
+        return kind, nvars, monos, wide + [(2**40,) * nvars]
+
+    def check(ring, packing, monos):
+        key, pack = ring.order.key, packing.pack
+        for u in monos:
+            assert packing.unpack(pack(u)) == u
+            for v in monos:
+                a, b = pack(u), pack(v)
+                assert (a < b) == (key(u) < key(v)), (u, v)
+                assert a + b == pack(tuple(map(add, u, v)))
+                assert (not (b - a) & packing.guard) == all(map(le, u, v)), (u, v)
+                assert packing.weigh(packing.fieldmax(a, b) & packing.exps) == pack(tuple(map(max, u, v)))
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @hypothesis.given(cases())
+    def agrees(case):
+        kind, nvars, monos, wide = case
+        ring = polynomial_ring_of(7, "abcde"[:nvars], kind)
+        packing = _Packing(ring, [ring.poly([(m, 1)]) for m in monos])
+        check(ring, packing, monos)
+        bits, before = packing.bits, [packing.pack(m) for m in monos]
+        packing.widen(packing.fitting(wide))
+        assert packing.bits > bits
+        assert [packing.repack(v, bits) for v in before] == [packing.pack(m) for m in monos]
+        check(ring, packing, monos + wide)
+
+    agrees()
 
 
 def test_packed_width_grows_past_any_fixed_field():
@@ -355,6 +378,49 @@ def test_packed_width_grows_past_any_fixed_field():
     assert [g.terms for g in substituted.elements] == [
         tuple(((m[0] * scale,) + m[1:], c) for m, c in g.terms) for g in basis.elements
     ]
+
+
+def test_lex_reduction_widens_the_fields(monkeypatch):
+    """Lex terms have no degree bound: tail-reducing x - y^20 by y - z^20
+    reaches z^400 within one normal_form call, past the width that fits the
+    generators.  The fields widen in place; no call is repeated."""
+    calls = {"nf": 0, "spoly": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(hkcalc.groebner, "normal_form", counted("nf", normal_form))
+    monkeypatch.setattr(hkcalc.groebner, "s_polynomial", counted("spoly", s_polynomial))
+    ring = ring_of(7, ("x", "y", "z"), kind="lex")
+    basis = _gb(ring, ["x - y^20", "y - z^20"])
+    assert [g.render() for g in basis.elements] == ["y + 6*z^20", "x + 6*z^400"]
+    assert calls == {"nf": 3, "spoly": 0}
+    # w - x waits, packed at the old width, while x - y^20 is reduced.
+    ring = ring_of(7, ("w", "x", "y", "z"), kind="lex")
+    basis = _gb(ring, ["w - x", "x - y^20", "y - z^20"])
+    assert [g.render() for g in basis.elements] == ["y + 6*z^20", "x + 6*z^400", "w + 6*z^400"]
+    assert calls == {"nf": 3 + 5, "spoly": 0}
+
+
+@pytest.mark.parametrize("kind", ORDER_KINDS)
+def test_normal_form_of_high_powers_matches_sympy(kind):
+    """Terms far above the basis's degrees are packed at a wider width and
+    reduced to sympy's remainder modulo the same (reduced) basis."""
+    sympy = pytest.importorskip("sympy")
+    ring = ring_of(7, ("x", "y", "z"), kind=kind, relations=("x*y - z^2",))
+    basis = _gb(ring, ["x^3 - y*z", "y^2 + z"])
+    f = poly_of(ring, "x^300*y^2 + 3*z^700 + x*y*z")
+    x, y, z = sympy.symbols("x y z")
+    theirs = sympy.groebner([x**3 - y * z, y**2 + z, x * y - z**2], x, y, z, modulus=7, order=kind)
+    _, remainder = sympy.reduced(
+        x**300 * y**2 + 3 * z**700 + x * y * z, list(theirs.exprs), x, y, z, modulus=7, order=kind
+    )
+    expected = ring.poly((m, int(c)) for m, c in sympy.Poly(remainder, x, y, z, modulus=7).terms())
+    assert basis.normal_form(f) == expected
 
 
 def test_s_polynomial_matches_polynomial_arithmetic():

@@ -1,6 +1,7 @@
 """The package keeps its arithmetic exact and its dependencies to the stdlib,
-only the CLI writes to stdout or stderr, no closure calls itself, and every
-import sits at module level, so the import graph is read off module tops.
+only the CLI writes to stdout or stderr, no closure calls itself, every
+import sits at module level, so the import graph is read off module tops,
+and no module keeps mutable state, so no call leaves anything for the next.
 
 Every module under src/hkcalc is parsed, not imported, so the rule holds for
 code paths no other test reaches.
@@ -32,6 +33,8 @@ INEXACT_CALLS = {"float", "complex", "round"}
 STREAMS = {"stdout", "stderr"}
 # The one module that may write output, so stdout has one writer.
 WRITER = "cli.py"
+MUTABLE_DISPLAYS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+MUTABLE_CALLS = {"dict", "list", "set"}
 
 
 def _writes(tree):
@@ -82,6 +85,37 @@ def _local_imports(tree):
         yield node.lineno, "import inside a function"
 
 
+def _module_statements(body):
+    """The statements run at import: module level, blocks included, outside
+    any function or class."""
+    for node in body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node
+            for field in ("body", "orelse", "handlers", "finalbody"):
+                yield from _module_statements(getattr(node, field, ()))
+
+
+def _mutable(value):
+    if isinstance(value, ast.Tuple):
+        return any(_mutable(e) for e in value.elts)
+    return isinstance(value, MUTABLE_DISPLAYS) or (
+        isinstance(value, ast.Call) and isinstance(value.func, ast.Name) and value.func.id in MUTABLE_CALLS
+    )
+
+
+def _module_state(tree):
+    """Module-level dicts, lists and sets other than __all__, and global
+    statements anywhere."""
+    for node in _module_statements(tree.body):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and _mutable(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if not all(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                yield node.lineno, "module-level mutable state"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            yield node.lineno, "global statement"
+
+
 def _violations(tree, may_write=False):
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
@@ -103,6 +137,7 @@ def _violations(tree, may_write=False):
                 yield node.lineno, "import from %s" % node.module
     yield from _recursive_closures(tree)
     yield from _local_imports(tree)
+    yield from _module_state(tree)
     if not may_write:
         yield from _writes(tree)
 
@@ -137,8 +172,18 @@ def test_rules_catch_each_violation():
     )
     # Line 19 imports inside a function; line 20, at module level, does not.
     imports = "def late():\n    from .errors import InputError\nimport itertools\n"
-    tree = ast.parse(bad + output + closures + imports)
-    assert sorted(lineno for lineno, _ in _violations(tree)) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 19]
+    # Line 21 is a module-level dict and line 24 a global statement; __all__
+    # (line 22) and a dict made inside a function (line 26) are not state.
+    state = (
+        "_CACHE = {}\n"
+        "__all__ = ['late']\n"
+        "def count():\n"
+        "    global _CACHE\n"
+        "def fresh():\n"
+        "    return {}\n"
+    )
+    tree = ast.parse(bad + output + closures + imports + state)
+    assert sorted(lineno for lineno, _ in _violations(tree)) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 19, 21, 24]
     assert sorted(lineno for lineno, _ in _violations(tree, may_write=True)) == [
-        1, 2, 3, 4, 5, 11, 19,
+        1, 2, 3, 4, 5, 11, 19, 21, 24,
     ]
