@@ -3,11 +3,12 @@
 Each computation packs its monomials into ints by one _Packing, whose
 integer order is the monomial order, and unpacks its results once.
 Selection follows the normal strategy (minimal S-pair lcm).  Redundant
-pairs are dropped as each element is added, by the Gebauer-Moller update
-(J. Symb. Comp. 6, 1988).  Each term is reduced by the first element, in
-basis order, whose leading term divides it.  The elements left active are
-the minimal basis, which is then tail-reduced.  All tie-breaking is by
-fixed generator ordering, so results are bit-reproducible.
+pairs are dropped as each element is added, in one pass over the active
+elements (Gebauer-Moller update, J. Symb. Comp. 6, 1988).  Each term is
+reduced by the first element, in basis order, whose leading term divides
+it.  The elements left active are the minimal basis, whose tails alone are
+then reduced.  All tie-breaking is by fixed generator ordering, so results
+are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -125,6 +126,11 @@ class _Reducers:
 
     def add(self, g) -> _TermDict:
         """Append g, a nonzero Polynomial of the ring or packed _TermDict, made monic."""
+        self.polys.append(self.reducer(g))
+        return self.polys[-1]
+
+    def reducer(self, g) -> _TermDict:
+        """g, as add takes it, made a reducer but not appended."""
         if isinstance(g, _TermDict):
             terms = g.terms
         elif self.ring.owns(g):
@@ -141,7 +147,6 @@ class _Reducers:
             ge = ((top | guard) - m) & guard
             top = m ^ ((top ^ m) & (ge - (ge >> bits)))
         h.top = top
-        self.polys.append(h)
         return h
 
     def find(self, m: int):
@@ -175,6 +180,8 @@ def normal_form(f, basis):
         raise InputError("operands live in different rings")
     packing = basis.packing
     packed = isinstance(f, _TermDict) and f.packing is packing
+    if packed and not f.terms:
+        return f
     work = dict(f.terms) if packed else basis.pack(f.terms)
     guard, find, p = packing.guard, basis.find, ring.field.p
     out = {}
@@ -217,6 +224,8 @@ def s_polynomial(f, g):
         f._check(g)
         k = f.lc * g.lc  # S(f, g) = k S(f / lc(f), g / lc(g))
         f, g = _Reducers(ring, (f, g)).polys
+    elif len(f.terms) == len(g.terms) == 1:
+        return _TermDict(ring, {}, f.packing)  # two monic monomials cancel
     p, packing = ring.field.p, f.packing
     lcm = packing.weigh(packing.fieldmax(f.lm, g.lm) & packing.exps)
     sf, sg = lcm - f.lm, lcm - g.lm
@@ -252,8 +261,8 @@ class GroebnerBasis:
         return tuple(g.lm for g in self.elements)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
-        if not self.elements:
-            return f
+        if not self.elements and self.ring.owns(f):
+            return f  # nothing to reduce by; normal_form checks f's ring
         if self._index is None:
             self._index = _Reducers(self.ring, self.elements)
         return normal_form(f, self._index)
@@ -292,17 +301,17 @@ def _minimal(ring, basis):
 def _interreduce(basis):
     """Tail-reduce and unpack a minimal basis, _Reducers sorted ascending.
 
-    Only a smaller leading term divides a term of g below lm(g), so reducing
-    in ascending order against the elements already reduced takes the same
-    steps as reducing against all the others.  Tail reduction keeps every
-    leading term, so the result stays sorted."""
-    pending, basis.polys = basis.polys, []
-    packing, bits = basis.packing, basis.packing.bits  # the width of the pending elements
-    for g in pending:
-        if packing.bits != bits:
-            g = _TermDict(g.ring, {packing.repack(m, bits): c for m, c in g.terms.items()}, packing)
-        basis.add(normal_form(g, basis) if len(pending) > 1 else g)
-    return [g.polynomial() for g in basis.polys]
+    Only a smaller leading term divides a term below lm(g), so reducing each
+    tail in place, in ascending order, against the whole list takes the same
+    steps as against the elements already reduced.  A monomial has no tail
+    and stands; a widening re-packs the list, g included.  Tail reduction
+    keeps the leading terms, so the result stays sorted."""
+    polys, packing = basis.polys, basis.packing
+    for k, g in enumerate(polys if len(polys) > 1 else ()):  # alone, g has nothing to reduce by
+        tail = normal_form(_TermDict(g.ring, {m: c for m, c in g.terms.items() if m != g.lm}, packing), basis)
+        if len(g.terms) > 1:
+            polys[k] = basis.reducer(_TermDict(g.ring, {g.lm: 1, **tail.terms}, packing))
+    return [g.polynomial() for g in polys]
 
 
 def groebner_basis(ring: PresentedRing, gens) -> GroebnerBasis:
@@ -340,18 +349,21 @@ def _buchberger(ring, gens):
     """The minimal Groebner basis of (gens) as _Reducers, sorted ascending by
     leading term, but not tail-reduced.
 
-    Redundant pairs are dropped as each element h is added, by the
-    Gebauer-Moller update (Becker-Weispfenning, Groebner Bases, 5.5), so
-    the pop loop only reduces.  A queued pair (i, k) is dropped when lm(h)
-    divides its lcm and neither lcm(lm_i, lm_h) nor lcm(lm_k, lm_h) equals
-    it (B_k).  Of the new pairs with h, one per lcm is queued (F), and only
-    for lcms that are minimal under divisibility (M) and shared with no
-    pair of coprime leading terms (product criterion).  Elements whose
-    leading term is a multiple of lm(h) form no further pairs.
-
     Every element is fully reduced by the earlier ones before it is added,
-    so no earlier leading term divides a later one, and the elements whose
-    leading terms no later one divides are the minimal basis.
+    so no earlier leading term divides a later one, and the active elements,
+    whose leading terms no later one divides, are the minimal basis.  Their
+    leading terms form an antichain, and none divides lm(h) for an added h.
+
+    Redundant pairs are dropped as each h is added, by the Gebauer-Moller
+    update (Becker-Weispfenning, Groebner Bases, 5.5), so the pop loop only
+    reduces.  A queued pair (i, k) is dropped when lm(h) divides its lcm and
+    neither lcm(lm_i, lm_h) nor lcm(lm_k, lm_h) equals it (B_k).  One pass
+    over the active elements forms the lcms of the new pairs, keeps the
+    first i of each (F), and finds the multiples of lm(h), which form no
+    further pairs.  Only lcms minimal under divisibility (M) are queued,
+    and no coprime one (product criterion): by the antichain, a coprime
+    pair (a, lm(h)) is the only pair of its lcm, as max(b, lm(h)) =
+    a + lm(h) makes a divide b.
     """
     spair_cap = SPAIR_CAP.get()
     basis = _Reducers(ring, packing=_Packing(ring, gens))
@@ -363,7 +375,7 @@ def _buchberger(ring, gens):
     pairs_made = 0
 
     def add(h):
-        nonlocal heap, pairs_made, bits
+        nonlocal pairs_made, bits
         j = len(G)
         pairs_made += j
         if pairs_made > spair_cap:
@@ -375,32 +387,35 @@ def _buchberger(ring, gens):
         if packing.bits != bits:  # widened here or by a reduction
             repack = packing.repack
             plms[:] = [repack(u, bits) for u in plms]
-            heap = [(repack(e[0], bits), e[1], e[2], repack(e[3], bits)) for e in heap]
+            # Repacking keeps the order, so the heap stays a heap.
+            heap[:] = [(repack(e[0], bits), e[1], e[2], repack(e[3], bits)) for e in heap]
             bits = packing.bits
         # The update works on exponent parts, whose guard keeps the ints short.
         p, guard, fieldmax = h.lm & packing.exps, packing.guard & packing.exps, packing.fieldmax
         # B_k, on the queued pairs (i, k) = (e[1], e[2]) with lcm e[3].
-        heap = [
+        kept = [
             e
             for e in heap
             if (e[3] - p) & guard or fieldmax(plms[e[1]], p) == e[3] or fieldmax(plms[e[2]], p) == e[3]
         ]
-        # New pairs (i, j), grouped by lcm: the smallest i, and whether any
-        # pair of the group has coprime leading terms (lcm = product).
-        groups = {}
+        if len(kept) < len(heap):
+            heap[:] = kept
+            heapq.heapify(heap)
+        # New pairs (i, j): the smallest i of each lcm.  Multiples of lm(h)
+        # (lcm = their own lm) form no further pairs, but still reduce.
+        groups, multiples = {}, []
         for i in active:
             # l = fieldmax(a, p), inlined: this loop runs for every active element.
             a = plms[i]
             ge = ((a | guard) - p) & guard
             l = p ^ ((a ^ p) & (ge - (ge >> bits)))
-            group = groups.get(l)
-            if group is None:
-                groups[l] = [i, l == a + p]
-            elif l == a + p:
-                group[1] = True
+            if l not in groups:
+                groups[l] = i
+            if l == a:
+                multiples.append(i)
         # M, in ascending packed order: a strict divisor of an lcm packs to
-        # a smaller int.  F: one pair per lcm, none if any of its pairs is
-        # coprime.
+        # a smaller int.  F and the product criterion: one pair per lcm,
+        # none if it is coprime (lcm = product).
         minimal = []
         for l in sorted(groups):
             for m in minimal:
@@ -408,12 +423,11 @@ def _buchberger(ring, gens):
                     break
             else:
                 minimal.append(l)
-                i, coprime = groups[l]
-                if not coprime:
-                    heap.append((packing.weigh(l), i, j, l))
-        heapq.heapify(heap)
-        # Multiples of lm form no further pairs, but still reduce.
-        active[:] = [i for i in active if (plms[i] - p) & guard]
+                i = groups[l]
+                if l != plms[i] + p:
+                    heapq.heappush(heap, (packing.weigh(l), i, j, l))
+        if multiples:  # rare: lm(h) divides an active leading term
+            active[:] = [i for i in active if i not in multiples]
         active.append(j)
         plms.append(p)
 

@@ -1,11 +1,15 @@
 import contextlib
+import hashlib
+import heapq
 import random
+import types
 from operator import add, le
 
 import pytest
 
 import hkcalc.groebner
 from hkcalc import (
+    Ideal,
     InputError,
     PresentedRing,
     ResourceLimitError,
@@ -212,8 +216,9 @@ def test_reduced_basis_matches_sympy(p):
             _assert_basis_matches_sympy(sympy, ring, gens)
 
 
-# Each loses a basis element if B_k drops a queued pair (i, k) whose lcm
-# equals lcm(lm_k, lm_h).
+# The first three each lose a basis element if B_k drops a queued pair
+# (i, k) whose lcm equals lcm(lm_k, lm_h).  In the last, adding x*z + y meets
+# the lcm x*y*z from two pairs, with x*y and with y*z, and queues one.
 _BK_CASES = [
     (
         3,
@@ -247,6 +252,7 @@ _BK_CASES = [
         ],
         [],
     ),
+    (5, "grevlex", "xyz", ["x*y + z", "y*z + x", "x*z + y"], []),
 ]
 
 
@@ -278,17 +284,38 @@ def test_reduced_basis_matches_sympy_sparse_with_relations(p):
 @pytest.mark.parametrize("q, spolys, size", [(7, 16, 10), (49, 100, 52)])
 def test_bracket_power_spair_decisions_pinned(monkeypatch, q, spolys, size):
     """m^[q] on F_7[x,y,z]/(xy - z^2): the Gebauer-Moller update leaves
-    exactly this many S-polynomials to reduce."""
+    exactly this many S-polynomials to reduce, in this order (the sha256
+    prefix of their leading monomials).  The normal forms, reducer scans
+    and reducers built are pinned too: tail-only interreduction scans no
+    reducer for a leading term and rebuilds no monomial."""
+    calls, order = {
+        7: ({"normal_form": 29, "find": 13, "reducer": 11}, "94d941ae00bc09e5"),
+        49: ({"normal_form": 155, "find": 55, "reducer": 53}, "439533f6db474d7f"),
+    }[q]
     made = []
 
     def counted(f, g):
-        made.append((f, g))
+        made.append((f.packing.unpack(f.lm), g.packing.unpack(g.lm)))
         return s_polynomial(f, g)
 
+    counts = dict.fromkeys(calls, 0)
+
+    def counting(name, function):
+        def wrapper(*args):
+            counts[name] += 1
+            return function(*args)
+
+        return wrapper
+
     monkeypatch.setattr(hkcalc.groebner, "s_polynomial", counted)
+    monkeypatch.setattr(hkcalc.groebner, "normal_form", counting("normal_form", normal_form))
+    for name in ("find", "reducer"):
+        monkeypatch.setattr(_Reducers, name, counting(name, getattr(_Reducers, name)))
     ring = ring_of(7, ("x", "y", "z"), relations=("x*y - z^2",))
     basis = groebner_basis(ring, [ring.var(i, q) for i in range(3)])
     assert (len(made), len(basis.elements)) == (spolys, size)
+    assert counts == calls
+    assert hashlib.sha256(repr(made).encode()).hexdigest()[:16] == order
 
     sympy = pytest.importorskip("sympy")
     x, y, z = sympy.symbols("x y z")
@@ -297,6 +324,38 @@ def test_bracket_power_spair_decisions_pinned(monkeypatch, q, spolys, size):
     ).polys
     expected = sorted(ring.poly((m, int(c)) for m, c in h.terms()).monic().terms for h in theirs)
     assert sorted(g.terms for g in basis.elements) == expected
+
+
+def test_pairs_pop_in_lcm_order(monkeypatch):
+    """The pair queue is a heap at every pop, also after B_k drops pairs
+    from it, so the normal strategy takes the least lcm.  Of two new pairs
+    with one lcm, the one with the earlier element is queued."""
+    popped = []
+
+    def heappop(heap):
+        assert all(heap[(k - 1) // 2] <= heap[k] for k in range(1, len(heap)))
+        popped.append(heap[0][1:3])
+        return heapq.heappop(heap)
+
+    queue = types.SimpleNamespace(heappop=heappop, heappush=heapq.heappush, heapify=heapq.heapify)
+    monkeypatch.setattr(hkcalc.groebner, "heapq", queue)
+    # Here B_k drops pairs from inside the heap, which breaks its order
+    # unless it is heapified again.
+    ring = ring_of(7, ("w", "x", "y"), kind="lex")
+    texts = [
+        "2*w^3*x^2*y^4 + 4*x^4*y^4",
+        "2*w*x^2*y^2 + 4*w*x^2 + 6*w*y^2",
+        "5*w^3*x^4*y + w*x^4*y^2",
+        "6*w^3*x^4*y + 3*w*x^3 + 6*w*x*y^4",
+        "5*w^2*x^4*y^2",
+        "2*w^4*x^4*y^2 + 5*w^2*x^2*y^4",
+    ]
+    _gb(ring, texts)
+    assert len(popped) == 25
+    p, kind, names, texts, relations = _BK_CASES[-1]  # x*y + z, y*z + x, x*z + y
+    popped.clear()
+    _gb(ring_of(p, names, kind=kind, relations=relations), texts)
+    assert (0, 2) in popped and (1, 2) not in popped
 
 
 def test_first_dividing_lead_matches_brute_force():
@@ -461,3 +520,10 @@ def test_normal_form_rejects_other_ring():
         normal_form(f, basis.elements)
     with pytest.raises(InputError):
         basis.normal_form(f)
+    # The zero ideal's basis is empty, and is checked all the same.
+    zero = Ideal(ring_of(5, ("x", "y")), [])
+    f = ring_of(7, ("x", "y", "z")).var(0)
+    with pytest.raises(InputError):
+        zero.gb().normal_form(f)
+    with pytest.raises(InputError):
+        zero.contains(f)
