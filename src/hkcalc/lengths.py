@@ -8,7 +8,11 @@ that sweep for more.  The local quantities, at the origin, read one local
 leading ideal, found by Lazard's homogenization (Greuel-Pfister, A Singular
 Introduction to Commutative Algebra, 1.7): the local colength counts its
 standard monomials, and the local ring has its dimension.  Graded ideals
-skip the homogenization, as their reduced basis gives the same values.
+skip the homogenization, as their reduced basis gives the same values.  So
+does input holding a pure power of every variable: its quotient lives at
+the origin alone, so it is local already, and its global leading ideal has
+as many standard monomials as the local one and gives dimension 0
+(Cox-Little-O'Shea, Using Algebraic Geometry, 4.2).
 """
 
 from __future__ import annotations
@@ -165,22 +169,44 @@ def _count(gens, k):
 # -- the local leading ideal and dimension ------------------------------------
 
 
-def _is_graded(I: Ideal) -> bool:
-    """True when I and the ring's relations are generated by forms."""
-    return I.ring._graded and all(g.is_homogeneous() for g in I.generators)
+def _global_basis_suffices(I: Ideal) -> bool:
+    """True when the reduced basis of I gives the local values at the origin.
+
+    Either I and the ring's relations are generated by forms, or together
+    they hold a pure power of every variable (a constant counts for all).
+    Then every maximal ideal over I is the origin's, so ring/(relations + I)
+    is zero or Artinian local there, and its local and global colengths
+    agree.  Both conditions are read in one pass over the generators.
+    """
+    ring = I.ring
+    graded = ring._graded
+    unpowered = set(range(ring.nvars))
+    for g in I.generators + ring.relations:
+        if len(g.terms) == 1:
+            m = g.terms[0][0]
+            d = sum(m)
+            if max(m) == d:
+                unpowered.difference_update(i for i, e in enumerate(m) if e == d)
+        elif graded:
+            graded = g.is_homogeneous()
+    return graded or not unpowered
 
 
 def _local_leading_monomials(I: Ideal):
     """Generators of the local leading ideal of ring/(relations + I).
 
-    Graded ideals take their reduced basis.  Otherwise this is Lazard's
-    method: homogenize the generators and relations with a new first
-    variable t.  On forms of one degree, grlex with t first prefers the
-    higher power of t, so it homogenizes the local degree order (lower
-    degree is larger, ties by lex).  The leading monomials of the reduced
-    basis, t dropped, generate the local leading ideal.
+    Where the global basis suffices (graded input, or a pure power of every
+    variable) this is the leading ideal of I's reduced basis.  For input
+    with pure powers that is a global leading ideal, not the local one, but
+    it has the same number of standard monomials and gives dimension 0.
+    Otherwise this is Lazard's method: homogenize the generators and
+    relations with a new first variable t.  On forms of one degree, grlex
+    with t first prefers the higher power of t, so it homogenizes the local
+    degree order (lower degree is larger, ties by lex).  The leading
+    monomials of the reduced basis, t dropped, generate the local leading
+    ideal.
     """
-    if _is_graded(I):
+    if _global_basis_suffices(I):
         return I.gb().leading_monomials
     ring = I.ring
     # One homogenizing ring per ring, so the bases cached on it are reused.
@@ -228,10 +254,10 @@ def local_colength(I: Ideal):
     """lambda over the localization at the origin.
 
     The number of standard monomials of the local leading ideal: INFINITE
-    iff the origin is not isolated, 0 iff I is a unit there.  Graded ideals
-    agree with the global colength.
+    iff the origin is not isolated, 0 iff I is a unit there.  Where the
+    global basis suffices, this is the global colength.
     """
-    if _is_graded(I):
+    if _global_basis_suffices(I):
         return colength(I)
     return count_standard_monomials(_local_leading_monomials(I), I.ring.nvars)
 

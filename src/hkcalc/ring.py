@@ -108,7 +108,7 @@ class PresentedRing:
         self.relations = tuple(rehomed)
         self._bases = {}  # sorted generator terms -> reduced GroebnerBasis
         self._elements = {}  # terms -> the one element of _bases with them
-        self._homogenizing = None  # built by lengths on first non-graded ideal
+        self._homogenizing = None  # built by lengths for the first Lazard route
         self._graded = all(r.is_homogeneous() for r in self.relations)
 
     @property

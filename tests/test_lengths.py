@@ -256,10 +256,13 @@ def test_local_colength_ten_variables():
 
 
 def test_local_colength_mprimary_certificate_path():
-    # Inhomogeneous but supported only at the origin: local = global.
+    # Inhomogeneous but supported only at the origin: local = global.  It
+    # holds no pure power of x, so it still takes Lazard's route: pure powers
+    # of every variable suffice to skip it, but are not necessary.
     ring = ring_of(5, ("x", "y"))
     I = _ideal(ring, ["x^2 - y^3", "y^4"])
     assert local_colength(I) == colength(I) == 8
+    assert ring._homogenizing is not None
 
 
 def _random_zero_dim_ideal(rng, ring, degrees):
@@ -459,6 +462,10 @@ def test_hilbert_samuel_hypotheses_checked():
         hilbert_samuel(ring.var(0), maximal_ideal(ring))  # dim 0
     with pytest.raises(InputError):
         hilbert_samuel(ring.var(1), _ideal(ring, ["y"]))  # not a parameter
+    # R/(xy) has dimension 1, and so has R/(xy, x) = F_5[y]: x is no
+    # parameter, although (xy) : x^oo = (y) and (y) + (x) has length 1.
+    with pytest.raises(InputError, match="the given element is not a parameter on R/J"):
+        hilbert_samuel(ring.var(0), _ideal(ring, ["x*y"]))
     with pytest.raises(InputError):
         hilbert_samuel(ring_of(7, ("x", "y")).var(0), _ideal(ring, ["y"]))
 
@@ -475,9 +482,10 @@ def test_hilbert_samuel_survives_long_transient():
 
 
 def test_hilbert_samuel_ladder_counts(monkeypatch):
-    """The ladder's own counts on the quadric cone, pinned here so that the
-    algorithm, not the benchmark, owns them: one local colength per rung
-    N = 1 .. stabilized_at + 1."""
+    """The ladder's own counts on the quadric and cubic cones, pinned here so
+    that the algorithm, not the benchmark, owns them: one local colength per
+    rung N = 1 .. stabilized_at + 1.  The cubic rungs hold pure powers of x,
+    y and z, so they are counted in the session ring."""
     calls = []
 
     def counted(I):
@@ -485,11 +493,67 @@ def test_hilbert_samuel_ladder_counts(monkeypatch):
         return local_colength(I)
 
     monkeypatch.setattr(hkcalc.lengths, "local_colength", counted)
-    cone = ring_of(5, ("x", "y", "z"), relations=("x*y - z^2",))
-    P = _ideal(cone, ["y", "z"])
-    seen = []
-    for q in (1, 5, 25):
-        calls.clear()
-        res = hilbert_samuel(cone.var(0), P.bracket_power(q))
-        seen.append((res.value, res.stabilized_at, len(calls)))
-    assert seen == [(1, 3, 4), (5, 7, 8), (25, 37, 38)]
+    expected = {
+        "x*y - z^2": [(1, 3, 4), (5, 7, 8), (25, 37, 38)],
+        "x*y - z^3": [(1, 3, 4), (5, 5, 6), (25, 25, 26)],
+    }
+    for relation, counts in expected.items():
+        cone = ring_of(5, ("x", "y", "z"), relations=(relation,))
+        P = _ideal(cone, ["y", "z"])
+        seen = []
+        for q in (1, 5, 25):
+            calls.clear()
+            res = hilbert_samuel(cone.var(0), P.bracket_power(q))
+            seen.append((res.value, res.stabilized_at, len(calls)))
+        assert seen == counts, relation
+
+
+def _pure_power_ideal(rng, ring):
+    """A pure power of each variable plus one element of mixed degree, so
+    the ideal is not graded yet its quotient lives at the origin alone."""
+    n = ring.nvars
+    top = 4 if n == 2 else 2
+    gens = [ring.var(i, rng.randint(1, top)) for i in range(n)]
+    monos = [m for m in itertools.product(range(top + 1), repeat=n) if 1 <= sum(m) <= top]
+    while True:
+        terms = [(m, rng.randint(1, ring.field.p - 1)) for m in rng.sample(monos, 3)]
+        if len({sum(m) for m, _ in terms}) > 1:
+            break
+    gens.append(ring.poly(terms))
+    rng.shuffle(gens)
+    return Ideal(ring, gens)
+
+
+def test_pure_powers_read_local_values_from_the_global_basis():
+    """Input holding a pure power of every variable is local already: its
+    local colength is the global one and the truncation oracle's value, its
+    dimension is 0, and with a unit at the origin adjoined it is 0 and has
+    no dimension.  None of it builds the homogenizing ring."""
+    rng = random.Random(2020)
+    units = random.Random(4040)
+    seen = set()
+    for trial in range(48):
+        p = (2, 3, 5, 7)[trial % 4]
+        kind = ("grevlex", "grlex", "lex")[trial % 3]
+        if trial % 8 < 3:
+            ring = ring_of(p, ("x", "y", "z"), kind, relations=("x*y - z^3",))
+        elif trial % 8 < 5:
+            ring = ring_of(p, ("x", "y", "z"), kind)
+        else:
+            ring = ring_of(p, ("x", "y"), kind)
+        I = _pure_power_ideal(rng, ring)
+        assert not all(g.is_homogeneous() for g in I.generators + ring.relations), I
+        for J in (I, I + Ideal(ring, [_unit_at_origin(units, ring)])):
+            value = local_colength(J)
+            gens_terms = [list(g.terms) for g in J.generators + ring.relations]
+            assert value == colength(J), J
+            assert value == local_colength_truncated(p, ring.nvars, gens_terms, value + 1), J
+            if value:
+                assert dimension(J) == 0, J
+            else:
+                with pytest.raises(InputError):
+                    dimension(J)
+            seen.add(min(value, 2))
+        assert ring._homogenizing is None, I
+    assert seen == {0, 1, 2}
+
