@@ -19,7 +19,6 @@ from .errors import (
     InputError,
     ResourceLimitError,
 )
-from .field import PrimeField
 from .groebner import GroebnerBasis, groebner_basis, normal_form, s_polynomial
 from .hk import EHKEstimate, HKReport, HKRow, ehk_estimate, hk_function, localized_frobenius_colength
 from .ideals import Ideal, maximal_ideal

@@ -57,7 +57,7 @@ def _jsonable(value):
 
 
 def _q_powers(ring: PresentedRing, q_list):
-    p = ring.field.p
+    p = ring.p
     for q in q_list:
         if not is_power_of(q, p):
             raise InputError("%d is not a power of the characteristic %d" % (q, p))
@@ -255,7 +255,7 @@ def check_rescaling(ring: PresentedRing, e: int) -> CheckReport:
     """Bracket-power composition: lambda((m^[p])^[p^e]) = lambda(m^[p^(e+1)])."""
     if e < 1:
         raise InputError("rescaling check needs e >= 1")
-    p = ring.field.p
+    p = ring.p
     m = maximal_ideal(ring)
     lhs = local_colength(m.bracket_power(p).bracket_power(p**e))
     rhs = local_colength(m.bracket_power(p ** (e + 1)))

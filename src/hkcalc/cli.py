@@ -34,7 +34,6 @@ from .errors import CertificationError, InputError, ResourceLimitError
 from .fixtures import corpus, fixture_by_id
 from .hk import ehk_estimate, hk_function
 from .lengths import INFINITE, colength, dimension, hilbert_samuel, local_colength
-from .orders import ORDER_KINDS
 from .parser import parse_session
 
 EXIT_OK = 0
@@ -74,14 +73,14 @@ def _emit(args, payload, header=None, rows=None):
 
 
 def _load_session(args):
-    """The session read from --in, and its ring built with --order."""
+    """The session read from --in, and its ring modulo its relations."""
     try:
         with open(args.infile, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (args.infile, exc)) from None
     session = parse_session(text)
-    return session, session.build_ring(order_kind=args.order)
+    return session, session.build_ring()
 
 
 def _ideal(args):
@@ -98,6 +97,14 @@ def _q_list(raw):
     if not qs:
         raise InputError("--q needs at least one value")
     return qs
+
+
+def _needed(args, dest):
+    """The value of the flag stored at dest, which check args.which needs."""
+    value = getattr(args, dest)
+    if value is None:
+        raise InputError("check %s needs --%s" % (args.which, dest.replace("_", "-")))
+    return value
 
 
 def _hk_rows(report):
@@ -178,25 +185,25 @@ def _cmd_check(args):
         qs = _q_list(args.q)
         if len(qs) != 1:
             raise InputError("flatness takes exactly one q")
-        report = check_flatness(ring, session.ideal(args.ideal, ring), qs[0])
+        report = check_flatness(ring, session.ideal(_needed(args, "ideal"), ring), qs[0])
     elif which == "lemma21":
         report = check_lemma21(
-            session.ideal(args.ideal, ring),
-            session.ideal(args.ideal_j, ring),
+            session.ideal(_needed(args, "ideal"), ring),
+            session.ideal(_needed(args, "ideal_j"), ring),
             _q_list(args.q),
         )
     elif which == "thm23":
         names = args.primes.split(",") if args.primes else []
         primes = [session.prime(name.strip(), ring) for name in names]
         report = check_thm23(
-            session.ideal(args.ideal_j, ring),
-            session.param(args.param, ring),
+            session.ideal(_needed(args, "ideal_j"), ring),
+            session.param(_needed(args, "param"), ring),
             primes,
             args.emax,
         )
     elif which == "thm33":
-        prime = session.prime(args.prime, ring)
-        report = check_thm33(prime, session.param(args.param, ring), _q_list(args.q))
+        prime = session.prime(_needed(args, "prime"), ring)
+        report = check_thm33(prime, session.param(_needed(args, "param"), ring), _q_list(args.q))
     else:  # rescaling: argparse admits no other choice
         report = check_rescaling(ring, args.e)
     payload = report.to_dict()
@@ -245,7 +252,6 @@ def _add_common(sp, session_file=True, ideal=False):
         sp.add_argument("--in", dest="infile", required=True, help="session file in the ring/ideal DSL")
     if ideal:
         sp.add_argument("--ideal", required=True, help="named ideal from the session")
-    sp.add_argument("--order", choices=ORDER_KINDS, default=None, help="override the session's monomial order")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--spair-cap", type=int, default=groebner.DEFAULT_SPAIR_CAP, help="S-pair generation cap")
 
@@ -303,8 +309,7 @@ def build_arg_parser():
     sp.add_argument("--all", action="store_true")
     sp.add_argument("--id", default=None)
     sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--spair-cap", type=int, default=groebner.DEFAULT_SPAIR_CAP)
+    _add_common(sp, session_file=False)
     sp.set_defaults(fn=_cmd_corpus)
 
     return ap

@@ -1,4 +1,8 @@
-"""Arithmetic in the prime field F_p for word-sized p."""
+"""The characteristic of F_p: a word-sized prime, checked here.
+
+Elements of F_p are plain ints in [0, p), and the PolynomialRing holds p
+as an int; this module only decides which p are admitted.
+"""
 
 from __future__ import annotations
 
@@ -32,31 +36,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class PrimeField:
-    """The field F_p with canonical representatives in [0, p).
-
-    Elements are plain Python ints; this object is the arithmetic context.
-    """
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if not isinstance(p, int) or not (2 <= p < 2**31):
-            raise InputError("characteristic must be an integer with 2 <= p < 2^31")
-        if not is_prime(p):
-            raise InputError("characteristic must be prime, got %d" % p)
-        self.p = p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise InputError("division by zero in F_%d" % self.p)
-        return pow(a, -1, self.p)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and self.p == other.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self) -> str:
-        return "PrimeField(%d)" % self.p
+def characteristic(p) -> int:
+    """p itself, once it is checked to be a prime with 2 <= p < 2^31."""
+    if not isinstance(p, int) or not (2 <= p < 2**31):
+        raise InputError("characteristic must be an integer with 2 <= p < 2^31")
+    if not is_prime(p):
+        raise InputError("characteristic must be prime, got %d" % p)
+    return p

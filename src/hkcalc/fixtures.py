@@ -78,7 +78,7 @@ def _regular_session(p, d):
 
 
 def _run_regular(session, ring, seed):
-    p = ring.field.p
+    p = ring.p
     d = ring.nvars
     # q caps keep the d=3, p=5 case inside its runtime budget.
     e_top = 2 if (d == 3 and p == 5) else 3
@@ -138,7 +138,7 @@ def _run_cone(n):
         ]
         prime = session.prime("P", ring)
         x = session.param("f", ring)
-        p = ring.field.p
+        p = ring.p
         checks = [
             check_thm23(session.ideal("J", ring), x, [prime], 3).to_dict(),
             check_thm33(prime, x, [p, p * p]).to_dict(),

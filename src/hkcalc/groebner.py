@@ -137,7 +137,8 @@ class _Reducers:
             terms = self.pack(g.terms)
         else:
             raise InputError("operands live in different rings")
-        inv, p = self.ring.field.inv(next(iter(terms.values()))), self.ring.field.p
+        p = self.ring.p
+        inv = pow(next(iter(terms.values())), -1, p)
         if inv != 1:
             terms = {m: c * inv % p for m, c in terms.items()}
         h = _TermDict(self.ring, terms, self.packing)
@@ -183,7 +184,7 @@ def normal_form(f, basis):
     if packed and not f.terms:
         return f
     work = dict(f.terms) if packed else basis.pack(f.terms)
-    guard, find, p = packing.guard, basis.find, ring.field.p
+    guard, find, p = packing.guard, basis.find, ring.p
     out = {}
     while work:
         m = max(work)
@@ -226,7 +227,7 @@ def s_polynomial(f, g):
         f, g = _Reducers(ring, (f, g)).polys
     elif len(f.terms) == len(g.terms) == 1:
         return _TermDict(ring, {}, f.packing)  # two monic monomials cancel
-    p, packing = ring.field.p, f.packing
+    p, packing = ring.p, f.packing
     lcm = packing.weigh(packing.fieldmax(f.lm, g.lm) & packing.exps)
     sf, sg = lcm - f.lm, lcm - g.lm
     terms = {m + sf: c * k % p for m, c in f.terms.items()}

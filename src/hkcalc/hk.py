@@ -41,7 +41,7 @@ def hk_function(I: Ideal, e_max: int) -> HKReport:
         raise InputError("e_max must be at least 1")
     ring = I.ring
     d = dimension(Ideal(ring, ()))
-    p = ring.field.p
+    p = ring.p
     rows = []
     for e in range(1, e_max + 1):
         q = p**e

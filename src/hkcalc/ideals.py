@@ -50,7 +50,7 @@ class Ideal:
     def bracket_power(self, q: int) -> "Ideal":
         """The Frobenius power I^[q], generated by q-th powers of the listed
         generators.  Ring relations are never raised to the q."""
-        p = self.ring.field.p
+        p = self.ring.p
         if not is_power_of(q, p):
             raise InputError("%d is not a power of the characteristic %d" % (q, p))
         if q == 1:

@@ -25,7 +25,7 @@ from .errors import CertificationError, InputError
 from .ideals import Ideal
 from .orders import MonomialOrder
 from .poly import Polynomial
-from .ring import PresentedRing
+from .ring import PolynomialRing, PresentedRing
 
 # Least certification floor and least ladder length for hilbert_samuel.
 HS_FLOOR = 3
@@ -213,7 +213,7 @@ def _local_leading_monomials(I: Ideal):
     hring = ring._homogenizing
     if hring is None:
         # "@t" is not a session variable name, so it never clashes with one.
-        hring = PresentedRing(ring.field, ("@t",) + ring.variables, MonomialOrder("grlex"))
+        hring = PresentedRing(PolynomialRing(ring.p, ("@t",) + ring.variables, MonomialOrder("grlex")))
         ring._homogenizing = hring
     gens = []
     for f in I.generators + ring.relations:

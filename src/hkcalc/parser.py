@@ -14,9 +14,10 @@ Session files look like::
 Polynomials use integer coefficients, ``+ - * ^`` and parentheses, are
 whitespace-insensitive, and are reduced mod p on the spot.  Errors carry
 line and column positions.  A ``prime`` line reads like an ``ideal`` line;
-the checks that take a prime test the hypotheses they need.  Every
-polynomial of a session belongs to one PolynomialRing (its field, variables
-and order); ``build_ring`` adds the relations to make a PresentedRing.
+the checks that take a prime test the hypotheses they need.  A session
+builds one PolynomialRing, from its ``char``, ``vars`` and ``order`` lines,
+and every polynomial it parses belongs to that ring; ``build_ring``
+presents it modulo the ``mod`` relations as a PresentedRing.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import re
 from typing import NamedTuple
 
 from .errors import InputError
-from .field import PrimeField
+from .field import characteristic
 from .ideals import Ideal
 from .orders import ORDER_KINDS, MonomialOrder
 from .poly import Polynomial
@@ -148,47 +149,48 @@ def parse_polynomial(text, line, col0, ring) -> Polynomial:
 
 
 class SessionInput(NamedTuple):
-    """A parsed session: ring presentation plus named ideals, primes, params."""
+    """A parsed session: its one PolynomialRing, which holds p, the
+    variables and the order, and its relations and named ideals, primes
+    and params, every polynomial of them in that ring."""
 
-    p: int
-    variables: tuple
-    order_kind: str
-    relations: tuple  # of Polynomial, all in the session's PolynomialRing
+    ring: PolynomialRing
+    relations: tuple  # of Polynomial
     ideals: dict  # name -> tuple of Polynomial
     primes: dict  # name -> tuple of Polynomial
     params: dict  # name -> Polynomial
 
-    def build_ring(self, order_kind=None) -> PresentedRing:
-        order = MonomialOrder(order_kind or self.order_kind)
-        return PresentedRing(PrimeField(self.p), self.variables, order, self.relations)
-
-    def _rebuild(self, polys, ring):
-        return [ring.poly(g.terms) for g in polys]
+    def build_ring(self) -> PresentedRing:
+        """A fresh PresentedRing, the session ring modulo the relations,
+        with no Groebner basis cached on it yet."""
+        return PresentedRing(self.ring, self.relations)
 
     def ideal(self, name, ring: PresentedRing) -> Ideal:
-        """The ideal or prime called name."""
+        """The ideal or prime called name, in ring, a PresentedRing over
+        the session ring."""
         if name in self.primes:
             return self.prime(name, ring)
         if name not in self.ideals:
             raise InputError("unknown ideal %r" % name)
-        return Ideal(ring, self._rebuild(self.ideals[name], ring))
+        return Ideal(ring, self.ideals[name])
 
     def prime(self, name, ring: PresentedRing) -> Ideal:
         if name not in self.primes:
             raise InputError("unknown prime %r" % name)
-        return Ideal(ring, self._rebuild(self.primes[name], ring))
+        return Ideal(ring, self.primes[name])
 
     def param(self, name, ring: PresentedRing) -> Polynomial:
         if name not in self.params:
             raise InputError("unknown parameter %r" % name)
-        return ring.poly(self.params[name].terms)
+        if not ring.owns(self.params[name]):
+            raise InputError("parameter lives in a different ring")
+        return self.params[name]
 
     def to_text(self) -> str:
         """Canonical DSL rendering; reparsing yields an identical session."""
         out = [
-            "char %d" % self.p,
-            "vars %s" % " ".join(self.variables),
-            "order %s" % self.order_kind,
+            "char %d" % self.ring.p,
+            "vars %s" % " ".join(self.ring.variables),
+            "order %s" % self.ring.order.kind,
         ]
         for r in self.relations:
             out.append("mod %s" % r.render())
@@ -209,8 +211,7 @@ def parse_session(text: str) -> SessionInput:
     p = None
     variables = None
     order_kind = "grevlex"
-    field = None
-    ring = None  # the PolynomialRing, built at the first polynomial
+    ring = None  # the PolynomialRing, built at the first polynomial or the end
     relations = []
     ideals = {}
     primes = {}
@@ -223,11 +224,14 @@ def parse_session(text: str) -> SessionInput:
         if variables is None:
             raise InputError("line %d: 'vars' must be declared before polynomials" % lineno)
 
-    def parse_poly(chunk, lineno, col0):
+    def session_ring():
         nonlocal ring
         if ring is None:
-            ring = PolynomialRing(field, variables, MonomialOrder(order_kind))
-        return parse_polynomial(chunk, lineno, col0, ring)
+            ring = PolynomialRing(p, variables, MonomialOrder(order_kind))
+        return ring
+
+    def parse_poly(chunk, lineno, col0):
+        return parse_polynomial(chunk, lineno, col0, session_ring())
 
     def parse_gen_list(rhs, lineno, col0):
         gens = []
@@ -255,7 +259,7 @@ def parse_session(text: str) -> SessionInput:
             except ValueError:
                 raise InputError("line %d: characteristic must be an integer" % lineno) from None
             try:
-                field = PrimeField(p)
+                characteristic(p)
             except InputError as exc:
                 raise InputError("line %d: %s" % (lineno, exc)) from None
         elif keyword == "vars":
@@ -277,7 +281,7 @@ def parse_session(text: str) -> SessionInput:
                 raise InputError(
                     "line %d: order must be one of %s" % (lineno, ", ".join(ORDER_KINDS))
                 )
-            if relations or ideals or primes or params:
+            if ring is not None:
                 raise InputError("line %d: 'order' must precede polynomials" % lineno)
             order_kind = rest
         elif keyword == "mod":
@@ -311,9 +315,7 @@ def parse_session(text: str) -> SessionInput:
     if variables is None:
         raise InputError("missing 'vars' directive")
     return SessionInput(
-        p=p,
-        variables=variables,
-        order_kind=order_kind,
+        ring=session_ring(),
         relations=tuple(relations),
         ideals=ideals,
         primes=primes,

@@ -1,7 +1,7 @@
 """Sparse multivariate polynomials over F_p, each belonging to one ring.
 
 A polynomial holds the PolynomialRing it belongs to, F_p[variables] with a
-monomial order, which supplies the field, the variables and the order.
+monomial order, which supplies p, the variables and the order.
 Relations belong to a PresentedRing, not to its polynomials, so polynomials
 of presented rings that differ only in their relations mix.  Terms are
 stored as a tuple of (monomial, coefficient) pairs, strictly descending in
@@ -43,7 +43,7 @@ class Polynomial:
         wrong arity or with a negative exponent is an InputError.
         """
         acc = {}
-        p = ring.field.p
+        p = ring.p
         nvars = ring.nvars
         for mono, coeff in terms:
             if len(mono) != nvars:
@@ -119,17 +119,17 @@ class Polynomial:
 
     def __sub__(self, other):
         self._check(other)
-        p = self.ring.field.p
+        p = self.ring.p
         neg = tuple((m, p - c) for m, c in other.terms)
         return Polynomial(self.ring, self.terms + neg)
 
     def __neg__(self):
-        p = self.ring.field.p
+        p = self.ring.p
         return Polynomial(self.ring, tuple((m, p - c) for m, c in self.terms))
 
     def __mul__(self, other):
         self._check(other)
-        p = self.ring.field.p
+        p = self.ring.p
         acc = {}
         for mu, cu in self.terms:
             for mv, cv in other.terms:
@@ -138,7 +138,7 @@ class Polynomial:
         return Polynomial(self.ring, acc.items())
 
     def scale(self, c: int):
-        p = self.ring.field.p
+        p = self.ring.p
         c %= p
         if not c:
             return Polynomial._canonical(self.ring, ())
@@ -153,7 +153,7 @@ class Polynomial:
         """
         if k < 0:
             raise InputError("negative polynomial power")
-        p = self.ring.field.p
+        p = self.ring.p
         result = self.ring.one()
         q = 1
         while k:
@@ -177,7 +177,7 @@ class Polynomial:
     def monic(self):
         if self.is_zero() or self.terms[0][1] == 1:
             return self
-        return self.scale(self.ring.field.inv(self.lc))
+        return self.scale(pow(self.lc, -1, self.ring.p))
 
     def frobenius(self, q: int):
         """f^q for q a power of p, by exponent scaling.
@@ -185,7 +185,7 @@ class Polynomial:
         Valid because the q-th power map is additive in characteristic p and
         fixes F_p coefficients (c^p = c).
         """
-        p = self.ring.field.p
+        p = self.ring.p
         if not is_power_of(q, p):
             raise InputError("%d is not a power of the characteristic %d" % (q, p))
         if q == 1:
@@ -228,4 +228,4 @@ class Polynomial:
         return " + ".join(parts)
 
     def __repr__(self) -> str:
-        return "Poly(%s mod %d)" % (self.render(), self.ring.field.p)
+        return "Poly(%s mod %d)" % (self.render(), self.ring.p)

@@ -1,35 +1,38 @@
 """Polynomial rings and presented rings over F_p.
 
-A PolynomialRing is F_p[variables] with a monomial order.  It is what
-every polynomial and Groebner basis belongs to, and it caches nothing.
+A PolynomialRing is F_p[variables] with a monomial order: the prime p, an
+int, the variable names and the order.  It is what every polynomial and
+Groebner basis belongs to, and it caches nothing.  A session builds one.
 
-A PresentedRing is a polynomial ring modulo a list of relations, with the
-Groebner bases computed over it cached on it.  The model is the local ring
-at the origin, so every relation must vanish there (zero constant term).
-Nothing it caches refers back to it, so a dropped PresentedRing and its
-bases are freed at once, without waiting for the cyclic collector.
+A PresentedRing is a polynomial ring modulo a list of its own polynomials,
+the relations, with the Groebner bases computed over it cached on it.  The
+model is the local ring at the origin, so every relation must vanish there
+(zero constant term).  Nothing it caches refers back to it, so a dropped
+PresentedRing and its bases are freed at once, without waiting for the
+cyclic collector.
 """
 
 from __future__ import annotations
 
 from .errors import InputError
-from .field import PrimeField
+from .field import characteristic
 from .orders import MonomialOrder
 from .poly import Polynomial
 
 
 class PolynomialRing:
-    """F_p[variables] with a monomial order; rings equal in all three mix."""
+    """F_p[variables] with a monomial order; rings equal in p, variables
+    and order mix."""
 
-    __slots__ = ("field", "variables", "order", "nvars")
+    __slots__ = ("p", "variables", "order", "nvars")
 
-    def __init__(self, field: PrimeField, variables, order: MonomialOrder):
+    def __init__(self, p: int, variables, order: MonomialOrder):
         variables = tuple(variables)
         if not variables:
             raise InputError("at least one variable is required")
         if len(set(variables)) != len(variables):
             raise InputError("variable names must be distinct")
-        self.field = field
+        self.p = characteristic(p)
         self.variables = variables
         self.order = order
         self.nvars = len(variables)
@@ -61,22 +64,22 @@ class PolynomialRing:
         return Polynomial(self, terms)
 
     def owns(self, f: Polynomial) -> bool:
-        """True iff f belongs to this ring: same field, variables and order."""
+        """True iff f belongs to this ring: same p, variables and order."""
         return f.ring is self or f.ring == self
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PolynomialRing)
-            and self.field == other.field
+            and self.p == other.p
             and self.variables == other.variables
             and self.order == other.order
         )
 
     def __hash__(self) -> int:
-        return hash((self.field.p, self.variables, self.order))
+        return hash((self.p, self.variables, self.order))
 
     def __repr__(self) -> str:
-        return "F_%d[%s]" % (self.field.p, ",".join(self.variables))
+        return "F_%d[%s]" % (self.p, ",".join(self.variables))
 
 
 class PresentedRing:
@@ -92,28 +95,24 @@ class PresentedRing:
         "_graded",
     )
 
-    def __init__(self, field: PrimeField, variables, order: MonomialOrder, relations=()):
-        self.ambient = ambient = PolynomialRing(field, variables, order)
-        # Relations may come from any ring over the same field and variables
-        # (e.g. one with another order); they are re-homed here by terms.
-        rehomed = []
-        for rel in relations:
-            if rel.ring.field != field or rel.ring.variables != ambient.variables:
+    def __init__(self, ambient: PolynomialRing, relations=()):
+        self.ambient = ambient
+        self.relations = tuple(relations)
+        for rel in self.relations:
+            if not ambient.owns(rel):
                 raise InputError("relation lives in a different ring")
             if rel.is_zero():
                 raise InputError("zero relation is not allowed")
             if rel.constant_term() != 0:
                 raise InputError("relation has nonzero constant term")
-            rehomed.append(ambient.poly(rel.terms))
-        self.relations = tuple(rehomed)
         self._bases = {}  # sorted generator terms -> reduced GroebnerBasis
         self._elements = {}  # terms -> the one element of _bases with them
         self._homogenizing = None  # built by lengths for the first Lazard route
         self._graded = all(r.is_homogeneous() for r in self.relations)
 
     @property
-    def field(self) -> PrimeField:
-        return self.ambient.field
+    def p(self) -> int:
+        return self.ambient.p
 
     @property
     def variables(self) -> tuple:

@@ -164,7 +164,7 @@ def test_acceptance_7_rescaling_identity():
     ] + [_cone(5, 2), _cone(7, 2), _cone(5, 3), ring_of(5, ("x", "y"))]
     ok = True
     for ring in rings:
-        p = ring.field.p
+        p = ring.p
         m = maximal_ideal(ring)
         lhs = local_colength(m.bracket_power(p).bracket_power(p))
         rhs = local_colength(m.bracket_power(p * p))
@@ -212,7 +212,7 @@ def test_acceptance_8_property_suites():
         value = colength(I)
         assert value <= 500, "case outside the oracle-comparison scope"
         gens_terms = [g.terms for g in I.generators] + [r.terms for r in ring.relations]
-        ok = ok and value == homogeneous_colength_dense(ring.field.p, ring.nvars, gens_terms)
+        ok = ok and value == homogeneous_colength_dense(ring.p, ring.nvars, gens_terms)
     # (d) bracket-power composition as ideal equality
     cone = _cone(5, 2)
     I = Ideal(cone, [poly_of(cone, "x + y"), poly_of(cone, "z^2")])

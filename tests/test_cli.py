@@ -5,6 +5,7 @@ import pytest
 
 from hkcalc import cli
 from hkcalc.checks import CheckReport
+from helpers import readme_block
 
 QUADRIC = """\
 char 5
@@ -111,16 +112,17 @@ def test_local_ring_at_the_origin(capsys, tmp_path):
     assert code == 2
 
 
-def test_gb_and_order_override(capsys, session_file):
-    code, out, _ = _run(capsys, ["gb", "--in", session_file, "--ideal", "J"])
-    assert code == 0
-    grevlex_basis = json.loads(out)["basis"]
-    code, out, _ = _run(
+def test_gb_and_order_override(capsys, tmp_path, session_file):
+    """An `order` line overrides the default grevlex; there is no --order."""
+    path = tmp_path / "order.hk"
+    for line, basis in (("", ["y^2 + 4*x", "x*y", "x^2"]), ("order lex\n", ["y^3", "x + 4*y^2"])):
+        path.write_text("char 5\nvars x y\n%sideal I = x - y^2, y^3\n" % line)
+        code, out, _ = _run(capsys, ["gb", "--in", str(path), "--ideal", "I"])
+        assert code == 0 and json.loads(out)["basis"] == basis
+    code, out, err = _run(
         capsys, ["gb", "--in", session_file, "--ideal", "J", "--order", "lex"]
     )
-    assert code == 0
-    assert json.loads(out)["basis"]  # same ideal, possibly different basis
-    assert "z" in " ".join(grevlex_basis)
+    assert code == 2 and out == "" and "--order" in err
 
 
 def test_ehk_csv(capsys, session_file):
@@ -148,6 +150,35 @@ def test_check_verbs(capsys, session_file):
     assert code == 0 and json.loads(out)["verdict"] == "PASS"
     code, out, _ = _run(capsys, ["check", "rescaling", "--in", session_file, "--e", "1"])
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["flatness", "--q", "5"], "--ideal"),
+        (["lemma21", "--ideal-j", "m", "--q", "5"], "--ideal"),
+        (["lemma21", "--ideal", "I2", "--q", "5"], "--ideal-j"),
+        (["thm23", "--param", "f", "--primes", "P"], "--ideal-j"),
+        (["thm23", "--ideal-j", "J", "--primes", "P"], "--param"),
+        (["thm33", "--param", "f", "--q", "5"], "--prime"),
+        (["thm33", "--prime", "P", "--q", "5"], "--param"),
+    ],
+)
+def test_check_names_its_missing_flag(capsys, session_file, argv, flag):
+    code, out, err = _run(capsys, ["check"] + argv + ["--in", session_file])
+    assert (code, out, err) == (2, "", "error: check %s needs %s\n" % (argv[0], flag))
+
+
+def test_readme_verbs_run(capsys, tmp_path):
+    """Each `hkcalc` line of the README's Verbs block runs on its session example."""
+    path = tmp_path / "ring.hk"
+    path.write_text(readme_block("reads a session file"))
+    lines = [line.split("#")[0].split() for line in readme_block("Verbs:").splitlines()]
+    assert lines and all(argv[0] == "hkcalc" for argv in lines)
+    for argv in lines:
+        argv = [str(path) if arg == "ring.hk" else arg for arg in argv[1:]]
+        code, _, err = _run(capsys, argv)
+        assert code == 0, (argv, err)
 
 
 def test_check_csv_format(capsys, session_file):
@@ -300,7 +331,12 @@ param g = y
 param h = x
 """
 
-GOLDEN_SESSIONS = {"quadric": QUADRIC, "non-graded": NON_GRADED}
+GOLDEN_SESSIONS = {
+    "quadric": QUADRIC,
+    "non-graded": NON_GRADED,
+    "quadric-lex": QUADRIC.replace("vars x y z\n", "vars x y z\norder lex\n"),
+    "non-graded-lex": NON_GRADED.replace("vars x y\n", "vars x y\norder lex\n"),
+}
 
 # "<session> <argv>" (session "-" takes no --in) -> {format: (exit code,
 # sha256 prefix of stdout, stderr)}.  Every verb is pinned in both formats.
@@ -309,11 +345,11 @@ GOLDEN = {
         "json": (0, "0d64d94e8ab00f79", ""),
         "csv": (0, "fa040c725b4595d0", ""),
     },
-    "quadric gb --ideal J --order lex": {
+    "quadric-lex gb --ideal J": {
         "json": (0, "0d64d94e8ab00f79", ""),
         "csv": (0, "fa040c725b4595d0", ""),
     },
-    "non-graded gb --ideal K --order lex": {
+    "non-graded-lex gb --ideal K": {
         "json": (0, "20f9ecaa0bd1bc02", ""),
         "csv": (0, "8cc236960afa01fb", ""),
     },

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from hkcalc import InputError, PrimeField
-from hkcalc.field import is_prime
+from hkcalc import InputError, MonomialOrder, PolynomialRing
+from hkcalc.field import characteristic, is_prime
+from helpers import polynomial_ring_of
 
 
 def test_is_prime_small():
@@ -20,33 +21,27 @@ def test_is_prime_large():
 
 
 def test_constructor_rejects_bad_characteristic():
-    for bad in (0, 1, 4, 6, 9, 100, -5, 2**31):
+    for bad in (0, 1, 4, 6, 9, 100, -5, 2**31, "5"):
         with pytest.raises(InputError):
-            PrimeField(bad)
-    with pytest.raises(InputError):
-        PrimeField("5")
+            characteristic(bad)
+        with pytest.raises(InputError):
+            PolynomialRing(bad, ("x",), MonomialOrder("grevlex"))
+    assert characteristic(2**31 - 1) == 2**31 - 1
 
 
 def test_arithmetic_random():
+    """monic divides by the leading coefficient's inverse mod p."""
     rng = random.Random(7)
     for p in (2, 3, 5, 7, 101, 32749):
-        field = PrimeField(p)
+        ring = polynomial_ring_of(p, ("x",))
         for _ in range(200):
-            a = rng.randrange(p)
-            b = rng.randrange(p)
-            if a:
-                assert a * field.inv(a) % p == 1
-
-
-def test_inverse_of_zero_rejected():
-    field = PrimeField(5)
-    with pytest.raises(InputError):
-        field.inv(0)
-    with pytest.raises(InputError):
-        field.inv(10)  # 10 = 0 mod 5
+            a = rng.randrange(1, p)
+            f = ring.poly([((1,), a), ((0,), rng.randrange(p))])
+            assert f.monic().lc == 1 and f.monic().scale(a) == f
 
 
 def test_equality_and_repr():
-    assert PrimeField(5) == PrimeField(5)
-    assert PrimeField(5) != PrimeField(7)
-    assert repr(PrimeField(5)) == "PrimeField(5)"
+    assert polynomial_ring_of(5, "x") == polynomial_ring_of(5, "x")
+    assert polynomial_ring_of(5, "x") != polynomial_ring_of(7, "x")
+    assert polynomial_ring_of(5, "x").p == 5
+    assert repr(polynomial_ring_of(5, "xy")) == "F_5[x,y]"

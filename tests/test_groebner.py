@@ -180,7 +180,7 @@ def test_normal_form_reduces_by_first_divisor_in_order():
 def _assert_basis_matches_sympy(sympy, ring, gens):
     """Our reduced basis of (gens) + (relations) equals sympy.groebner's over
     GF(p); reduced bases are canonical."""
-    p, names = ring.field.p, ring.variables
+    p, names = ring.p, ring.variables
     symbols = sympy.symbols(names)
     polys = list(gens) + list(ring.relations)
     exprs = [sympy.Poly.from_dict(dict(g.terms), *symbols).as_expr() for g in polys]
@@ -277,7 +277,7 @@ def test_reduced_basis_matches_sympy_sparse_with_relations(p):
             if t % 2:
                 relation = ring.poly((m, c) for m, c in random_poly(rng, ring, 2, 2).terms if any(m))
                 if not relation.is_zero():
-                    ring = PresentedRing(ring.field, ring.variables, ring.order, [relation])
+                    ring = PresentedRing(ring.ambient, [relation])
             _assert_basis_matches_sympy(sympy, ring, _nonzero_polys(rng, ring, rng.randint(4, 5), 2, 3))
 
 

@@ -161,7 +161,7 @@ def _oracle_dimension(I, window=range(1, 9)):
     so its (d+1)-th is 0."""
     ring = I.ring
     gens_terms = [list(g.terms) for g in I.generators + ring.relations]
-    values = [local_colength_truncated(ring.field.p, ring.nvars, gens_terms, N) for N in window]
+    values = [local_colength_truncated(ring.p, ring.nvars, gens_terms, N) for N in window]
     d = 0
     while len(set(values)) > 1:
         values = [b - a for a, b in zip(values, values[1:])]
@@ -278,7 +278,7 @@ def _random_zero_dim_ideal(rng, ring, degrees):
     monos = [m for m in itertools.product(range(top + 1), repeat=n) if lowest <= sum(m) <= top]
 
     def coeff():
-        return rng.randint(1, ring.field.p - 1)
+        return rng.randint(1, ring.p - 1)
 
     gens = []
     for i, a in enumerate(degrees):
@@ -307,7 +307,7 @@ def _unit_at_origin(rng, ring):
     square = tuple(int(i == k) + int(j == k) for k in range(n))
     linear = [tuple(int(v == k) for k in range(n)) for v in range(n)]
     monos = [(0,) * n, square] + linear
-    return ring.poly([(m, rng.randint(1, ring.field.p - 1)) for m in monos])
+    return ring.poly([(m, rng.randint(1, ring.p - 1)) for m in monos])
 
 
 def test_local_colength_vs_truncation_oracle():
@@ -516,7 +516,7 @@ def _pure_power_ideal(rng, ring):
     gens = [ring.var(i, rng.randint(1, top)) for i in range(n)]
     monos = [m for m in itertools.product(range(top + 1), repeat=n) if 1 <= sum(m) <= top]
     while True:
-        terms = [(m, rng.randint(1, ring.field.p - 1)) for m in rng.sample(monos, 3)]
+        terms = [(m, rng.randint(1, ring.p - 1)) for m in rng.sample(monos, 3)]
         if len({sum(m) for m, _ in terms}) > 1:
             break
     gens.append(ring.poly(terms))

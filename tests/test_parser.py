@@ -1,10 +1,8 @@
-import pathlib
-
 import pytest
 
 from hkcalc import Ideal, InputError, PolynomialRing, parse_polynomial, parse_session
 from hkcalc.fixtures import corpus
-from helpers import ring_of
+from helpers import readme_block, ring_of
 
 QUADRIC = """\
 # quadric cone
@@ -21,9 +19,9 @@ param f = x
 
 def test_parse_session_quadric():
     session = parse_session(QUADRIC)
-    assert session.p == 5
-    assert session.variables == ("x", "y", "z")
-    assert session.order_kind == "grevlex"
+    assert session.ring.p == 5
+    assert session.ring.variables == ("x", "y", "z")
+    assert session.ring.order.kind == "grevlex"
     ring = session.build_ring()
     assert len(ring.relations) == 1
     m = session.ideal("m", ring)
@@ -38,13 +36,6 @@ def test_parse_session_quadric():
     assert as_ideal.generators == P.generators and as_ideal.same_ideal(P)
 
 
-def _readme_session():
-    """The session example of the README's CLI section."""
-    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
-    start = readme.index("```\n", readme.index("reads a session file")) + 4
-    return readme[start : readme.index("```", start)]
-
-
 def _terms(session):
     """The terms of each polynomial of session, by table and name."""
     params = {name: (g,) for name, g in session.params.items()}
@@ -55,30 +46,32 @@ def _terms(session):
 
 
 def test_session_roundtrip_through_to_text():
-    """Every corpus session and the README example reparse from to_text()."""
+    """Every corpus session, the README example and a session in each
+    non-default order reparse from to_text() into an equal ring."""
     texts = {f.fixture_id: f.session_text for f in corpus()}
-    texts["readme"] = _readme_session()
+    texts["readme"] = readme_block("reads a session file")
+    for kind in ("lex", "grlex"):
+        texts[kind] = "char 5\nvars x y\norder %s\nmod x - y^2\nideal I = y^3, x\n" % kind
     for name, text in texts.items():
         session = parse_session(text)
         canonical = session.to_text()
         again = parse_session(canonical)
         assert again.to_text() == canonical, name
-        assert again.variables == session.variables, name
+        assert again.ring == session.ring, name
         assert _terms(again) == _terms(session), name
-
-
-def test_order_override():
-    session = parse_session(QUADRIC)
-    ring = session.build_ring(order_kind="lex")
-    assert ring.order.kind == "lex"
+        assert [r.lm for r in again.relations] == [r.lm for r in session.relations], name
+    assert "order lex\n" in parse_session(texts["lex"]).to_text()
 
 
 def test_build_ring_rehomes_relations_in_its_order():
-    session = parse_session("char 5\nvars x y\nmod x - y^2\n")
+    """build_ring presents the session ring, in the order of its order
+    line, modulo the relations as parsed."""
     for kind, lm in (("grevlex", (0, 2)), ("lex", (1, 0))):
-        ring = session.build_ring(order_kind=kind)
+        session = parse_session("char 5\nvars x y\norder %s\nmod x - y^2\n" % kind)
+        ring = session.build_ring()
         (rel,) = ring.relations
-        assert rel.ring is ring.ambient and rel.lm == lm
+        assert ring.ambient is session.ring and rel is session.relations[0]
+        assert ring.order.kind == kind and rel.lm == lm
 
 
 def test_session_polynomials_share_one_relation_free_ring():
@@ -88,7 +81,7 @@ def test_session_polynomials_share_one_relation_free_ring():
     polys += [g for gens in session.primes.values() for g in gens]
     assert len({id(g.ring) for g in polys}) == 1
     assert isinstance(polys[0].ring, PolynomialRing)
-    assert polys[0].ring == session.build_ring().ambient
+    assert polys[0].ring is session.ring is session.build_ring().ambient
 
 
 def test_unknown_names_rejected():
@@ -172,7 +165,7 @@ def test_polynomial_errors_have_positions(text, column, fragment):
 
 def test_comments_and_blank_lines_ignored():
     session = parse_session("# header\n\nchar 5  # five\nvars x\nideal I = x # gen\n")
-    assert session.p == 5
+    assert session.ring.p == 5
     assert len(session.ideals["I"]) == 1
 
 

@@ -161,7 +161,7 @@ def test_rings_differing_only_in_names_do_not_mix():
     with pytest.raises(InputError):
         Ideal(xy, [ab.var(1)])
     with pytest.raises(InputError):
-        PresentedRing(ab.field, ab.variables, ab.order, [poly_of(xy, "x*y")])
+        PresentedRing(ab.ambient, [poly_of(xy, "x*y")])
 
 
 def test_rings_differing_only_in_relations_mix():
