@@ -6,6 +6,9 @@ csv); diagnostics go to stderr.  The CSV of dim, colength, local-colength
 and mult is one row: the JSON fields after "ring".  The other verbs print a
 table: gb one row per basis element, hk one per q, ehk its three fractions
 as _num/_den columns, check one per quantity, corpus one per fixture.
+Each check and corpus action is a subcommand that takes, after its name,
+only the flags it reads: argparse rejects any other flag and names a
+missing one.  flatness takes one --q; corpus run one of --all and --id.
 Exit codes: 0 success/PASS, 1 a check FAILED, 2 input error or a check
 INAPPLICABLE (thm33 included, when x is not a parameter on R/P),
 3 resource limit, 4 stabilization/certification failure.
@@ -91,20 +94,12 @@ def _ideal(args):
 
 def _q_list(raw):
     try:
-        qs = [int(part) for part in (raw or "").split(",") if part.strip()]
+        qs = [int(part) for part in raw.split(",") if part.strip()]
     except ValueError:
         raise InputError("--q must be a comma-separated list of integers") from None
     if not qs:
         raise InputError("--q needs at least one value")
     return qs
-
-
-def _needed(args, dest):
-    """The value of the flag stored at dest, which check args.which needs."""
-    value = getattr(args, dest)
-    if value is None:
-        raise InputError("check %s needs --%s" % (args.which, dest.replace("_", "-")))
-    return value
 
 
 def _hk_rows(report):
@@ -176,36 +171,17 @@ def _cmd_ehk(args):
     return EXIT_OK
 
 
+def _thm23(session, ring, args):
+    names = args.primes.split(",") if args.primes else []
+    primes = [session.prime(name.strip(), ring) for name in names]
+    return check_thm23(
+        session.ideal(args.ideal_j, ring), session.param(args.param, ring), primes, args.emax
+    )
+
+
 def _cmd_check(args):
     session, ring = _load_session(args)
-    which = args.which
-    if which == "kunz":
-        report = check_kunz(ring, _q_list(args.q))
-    elif which == "flatness":
-        qs = _q_list(args.q)
-        if len(qs) != 1:
-            raise InputError("flatness takes exactly one q")
-        report = check_flatness(ring, session.ideal(_needed(args, "ideal"), ring), qs[0])
-    elif which == "lemma21":
-        report = check_lemma21(
-            session.ideal(_needed(args, "ideal"), ring),
-            session.ideal(_needed(args, "ideal_j"), ring),
-            _q_list(args.q),
-        )
-    elif which == "thm23":
-        names = args.primes.split(",") if args.primes else []
-        primes = [session.prime(name.strip(), ring) for name in names]
-        report = check_thm23(
-            session.ideal(_needed(args, "ideal_j"), ring),
-            session.param(_needed(args, "param"), ring),
-            primes,
-            args.emax,
-        )
-    elif which == "thm33":
-        prime = session.prime(_needed(args, "prime"), ring)
-        report = check_thm33(prime, session.param(_needed(args, "param"), ring), _q_list(args.q))
-    else:  # rescaling: argparse admits no other choice
-        report = check_rescaling(ring, args.e)
+    report = args.run(session, ring, args)
     payload = report.to_dict()
     cells = [("detail", payload["detail"])] + [
         # an exact rational prints as n/d
@@ -222,13 +198,13 @@ def _cmd_check(args):
     return EXIT_OK
 
 
-def _cmd_corpus(args):
-    if args.action == "list":
-        items = [{"fixture": f.fixture_id, "description": f.description} for f in corpus()]
-        _emit(args, {"fixtures": items}, ("fixture", "description"), [i.values() for i in items])
-        return EXIT_OK
-    if not args.all and not args.id:
-        raise InputError("corpus run needs --all or --id <fixture>")
+def _cmd_corpus_list(args):
+    items = [{"fixture": f.fixture_id, "description": f.description} for f in corpus()]
+    _emit(args, {"fixtures": items}, ("fixture", "description"), [i.values() for i in items])
+    return EXIT_OK
+
+
+def _cmd_corpus_run(args):
     fixtures = corpus() if args.all else [fixture_by_id(args.id)]
     results = [f.run(seed=args.seed) for f in fixtures]
     passed = sum(1 for r in results if r["passed"])
@@ -247,11 +223,11 @@ def _cmd_corpus(args):
 # -- argument parsing ---------------------------------------------------------
 
 
-def _add_common(sp, session_file=True, ideal=False):
+def _add_common(sp, *required, session_file=True):
     if session_file:
         sp.add_argument("--in", dest="infile", required=True, help="session file in the ring/ideal DSL")
-    if ideal:
-        sp.add_argument("--ideal", required=True, help="named ideal from the session")
+    for flag in required:
+        sp.add_argument(flag, required=True)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--spair-cap", type=int, default=groebner.DEFAULT_SPAIR_CAP, help="S-pair generation cap")
 
@@ -261,56 +237,77 @@ def build_arg_parser():
     sub = ap.add_subparsers(dest="verb", required=True)
 
     sp = sub.add_parser("gb", help="reduced Groebner basis of a named ideal")
-    _add_common(sp, ideal=True)
+    _add_common(sp, "--ideal")
     sp.set_defaults(fn=_cmd_gb)
 
     sp = sub.add_parser("dim", help="Krull dimension of ring/(relations + ideal) at the origin")
-    _add_common(sp, ideal=True)
+    _add_common(sp, "--ideal")
     sp.set_defaults(fn=lambda a: _cmd_scalar(a, dimension, "dimension"))
 
     sp = sub.add_parser("colength", help="global colength (standard monomial count)")
-    _add_common(sp, ideal=True)
+    _add_common(sp, "--ideal")
     sp.set_defaults(fn=lambda a: _cmd_scalar(a, colength, "colength"))
 
     sp = sub.add_parser("local-colength", help="colength over the localization at the origin")
-    _add_common(sp, ideal=True)
+    _add_common(sp, "--ideal")
     sp.set_defaults(fn=lambda a: _cmd_scalar(a, local_colength, "local_colength"))
 
     sp = sub.add_parser("mult", help="Hilbert-Samuel multiplicity of a parameter")
-    _add_common(sp, ideal=True)
-    sp.add_argument("--param", required=True, help="named parameter element")
+    _add_common(sp, "--ideal", "--param")
     sp.set_defaults(fn=_cmd_mult)
 
     sp = sub.add_parser("hk", help="Hilbert-Kunz function table")
-    _add_common(sp, ideal=True)
+    _add_common(sp, "--ideal")
     sp.add_argument("--emax", type=int, required=True)
     sp.set_defaults(fn=_cmd_hk)
 
     sp = sub.add_parser("ehk", help="two-point Hilbert-Kunz multiplicity estimate")
-    _add_common(sp, ideal=True)
+    _add_common(sp, "--ideal")
     sp.add_argument("--emax", type=int, required=True)
     sp.set_defaults(fn=_cmd_ehk)
 
-    sp = sub.add_parser("check", help="run a named claim check")
-    sp.add_argument("which", choices=("kunz", "flatness", "lemma21", "thm23", "thm33", "rescaling"))
-    _add_common(sp)
-    sp.add_argument("--ideal", default=None)
-    sp.add_argument("--ideal-j", dest="ideal_j", default=None)
-    sp.add_argument("--prime", default=None)
-    sp.add_argument("--primes", default=None, help="comma-separated prime names (thm23)")
-    sp.add_argument("--param", default=None)
-    sp.add_argument("--q", default=None, help="comma-separated powers of p")
-    sp.add_argument("--e", type=int, default=1)
-    sp.add_argument("--emax", type=int, default=3)
-    sp.set_defaults(fn=_cmd_check)
+    sp = sub.add_parser("check", help="run a named claim check; its flags follow its name")
+    checks = sp.add_subparsers(dest="which", required=True)
+
+    def check(name, required, run):
+        cp = checks.add_parser(name)
+        _add_common(cp, *required)
+        cp.set_defaults(fn=_cmd_check, run=run)
+        return cp
+
+    check("kunz", ("--q",), lambda s, r, a: check_kunz(r, _q_list(a.q)))
+    cp = check(
+        "flatness", ("--ideal",), lambda s, r, a: check_flatness(r, s.ideal(a.ideal, r), a.q)
+    )
+    cp.add_argument("--q", type=int, required=True)
+    check(
+        "lemma21",
+        ("--ideal", "--ideal-j", "--q"),
+        lambda s, r, a: check_lemma21(s.ideal(a.ideal, r), s.ideal(a.ideal_j, r), _q_list(a.q)),
+    )
+    cp = check("thm23", ("--ideal-j", "--param"), _thm23)
+    cp.add_argument("--primes", help="comma-separated prime names")
+    cp.add_argument("--emax", type=int, default=3)
+    check(
+        "thm33",
+        ("--prime", "--param", "--q"),
+        lambda s, r, a: check_thm33(s.prime(a.prime, r), s.param(a.param, r), _q_list(a.q)),
+    )
+    cp = check("rescaling", (), lambda s, r, a: check_rescaling(r, a.e))
+    cp.add_argument("--e", type=int, default=1)
 
     sp = sub.add_parser("corpus", help="list or run the fixture corpus")
-    sp.add_argument("action", choices=("list", "run"))
-    sp.add_argument("--all", action="store_true")
-    sp.add_argument("--id", default=None)
-    sp.add_argument("--seed", type=int, default=42)
-    _add_common(sp, session_file=False)
-    sp.set_defaults(fn=_cmd_corpus)
+    actions = sp.add_subparsers(dest="action", required=True)
+    cp = actions.add_parser("list")
+    _add_common(cp, session_file=False)
+    cp.set_defaults(fn=_cmd_corpus_list)
+    cp = actions.add_parser("run")
+    which = cp.add_mutually_exclusive_group(required=True)
+    which.add_argument("--all", action="store_true")
+    which.add_argument("--id")
+    cp.add_argument("--seed", type=int, default=42)
+    _add_common(cp, session_file=False)
+    cp.set_defaults(fn=_cmd_corpus_run)
 
     return ap
 

@@ -210,7 +210,7 @@ def _strip_comment(line: str) -> str:
 def parse_session(text: str) -> SessionInput:
     p = None
     variables = None
-    order_kind = "grevlex"
+    order_kind = None  # grevlex when the session has no order line
     ring = None  # the PolynomialRing, built at the first polynomial or the end
     relations = []
     ideals = {}
@@ -227,7 +227,7 @@ def parse_session(text: str) -> SessionInput:
     def session_ring():
         nonlocal ring
         if ring is None:
-            ring = PolynomialRing(p, variables, MonomialOrder(order_kind))
+            ring = PolynomialRing(p, variables, MonomialOrder(order_kind or "grevlex"))
         return ring
 
     def parse_poly(chunk, lineno, col0):
@@ -235,22 +235,22 @@ def parse_session(text: str) -> SessionInput:
 
     def parse_gen_list(rhs, lineno, col0):
         gens = []
-        offset = 0
         for part in rhs.split(","):
-            stripped = part.strip()
-            if not stripped:
+            if not part.strip():
                 raise InputError("line %d: empty generator in list" % lineno)
-            gens.append(parse_poly(stripped, lineno, col0 + offset + part.index(stripped[0])))
-            offset += len(part) + 1
+            gens.append(parse_poly(part, lineno, col0))
+            col0 += len(part) + 1
         return tuple(gens)
 
+    # Each polynomial is parsed as it stands in its line, from its offset
+    # there, so that its errors name the line's own columns.
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
+        line = _strip_comment(raw)
+        if not line.strip():
             continue
-        keyword, _, rest = line.partition(" ")
-        rest = rest.strip()
-        col0 = raw.index(keyword) + len(keyword) + 1
+        keyword = line.split()[0]
+        col0 = line.index(keyword) + len(keyword)
+        rest = line[col0:]
         if keyword == "char":
             if p is not None:
                 raise InputError("line %d: duplicate 'char'" % lineno)
@@ -277,13 +277,15 @@ def parse_session(text: str) -> SessionInput:
                 raise InputError("line %d: at most %d variables" % (lineno, MAX_VARS))
             variables = tuple(names)
         elif keyword == "order":
-            if rest not in ORDER_KINDS:
+            if order_kind is not None:
+                raise InputError("line %d: duplicate 'order'" % lineno)
+            order_kind = rest.strip()
+            if order_kind not in ORDER_KINDS:
                 raise InputError(
                     "line %d: order must be one of %s" % (lineno, ", ".join(ORDER_KINDS))
                 )
             if ring is not None:
                 raise InputError("line %d: 'order' must precede polynomials" % lineno)
-            order_kind = rest
         elif keyword == "mod":
             ring_ready(lineno)
             rel = parse_poly(rest, lineno, col0)
@@ -303,7 +305,7 @@ def parse_session(text: str) -> SessionInput:
             seen_names.add(name)
             rhs_col = col0 + rest.index("=") + 1
             if keyword == "param":
-                params[name] = parse_poly(rhs.strip(), lineno, rhs_col)
+                params[name] = parse_poly(rhs, lineno, rhs_col)
             else:
                 table = ideals if keyword == "ideal" else primes
                 table[name] = parse_gen_list(rhs, lineno, rhs_col)

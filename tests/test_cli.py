@@ -166,7 +166,45 @@ def test_check_verbs(capsys, session_file):
 )
 def test_check_names_its_missing_flag(capsys, session_file, argv, flag):
     code, out, err = _run(capsys, ["check"] + argv + ["--in", session_file])
-    assert (code, out, err) == (2, "", "error: check %s needs %s\n" % (argv[0], flag))
+    assert code == 2 and out == ""
+    assert "the following arguments are required: %s\n" % flag in err, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "kunz", "--q", "5", "--prime", "P"],
+        ["check", "rescaling", "--e", "1", "--emax", "2"],
+        ["check", "flatness", "--ideal", "m", "--q", "5,25"],
+        ["corpus", "run"],
+        ["corpus", "run", "--all", "--id", "regular-1d-p2"],
+        ["corpus", "list", "--seed", "7"],
+    ],
+)
+def test_actions_reject_flags_they_do_not_read(capsys, session_file, argv):
+    """A check or corpus action takes only the flags it reads: flatness one
+    q, corpus run exactly one of --all and --id."""
+    if argv[0] == "check":
+        argv = argv + ["--in", session_file]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == "" and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "session, argv",
+    [
+        (QUADRIC, ["kunz", "--q", "5,6"]),
+        (QUADRIC, ["lemma21", "--ideal", "I2", "--ideal-j", "m", "--q", "6"]),
+        (QUADRIC, ["thm33", "--prime", "P", "--param", "f", "--q", "5,6"]),
+        ("char 5\nvars x y\nideal m = x, y\n", ["flatness", "--ideal", "m", "--q", "6"]),
+    ],
+)
+def test_check_q_not_a_power_of_p(capsys, tmp_path, session, argv):
+    path = tmp_path / "session.hk"
+    path.write_text(session)
+    code, out, err = _run(capsys, ["check"] + argv + ["--in", str(path)])
+    assert code == 2 and out == ""
+    assert "6 is not a power of the characteristic 5" in err, err
 
 
 def test_readme_verbs_run(capsys, tmp_path):

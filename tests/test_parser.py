@@ -100,6 +100,7 @@ def test_unknown_names_rejected():
     [
         ("char 4\nvars x\n", "must be prime"),
         ("char 5\nchar 5\nvars x\n", "duplicate 'char'"),
+        ("char 5\nvars x\norder lex\norder grlex\n", "line 4: duplicate 'order'"),
         ("vars x\nmod x^2\n", "'char' must be declared first"),
         ("char 5\nvars x x\n", "unique"),
         ("char 5\nvars x\nideal I = x\norder lex\n", "must precede"),
@@ -121,6 +122,17 @@ def test_session_errors(text, fragment):
     with pytest.raises(InputError) as err:
         parse_session(text)
     assert fragment in str(err.value), str(err.value)
+
+
+@pytest.mark.parametrize("blank", [" ", "   ", "\t"])
+@pytest.mark.parametrize("line", ["mod_x*y - w", "ideal_I =_x, w", "prime_P =_y,_w", "param_f =_w"])
+def test_error_columns_count_the_raw_line(line, blank):
+    """The column of an error is that of its token in the line as written,
+    whatever the blanks after the directive and around the polynomials."""
+    line = line.replace("_", blank)
+    with pytest.raises(InputError) as err:
+        parse_session("char 5\nvars x y\n%s\n" % line)
+    assert str(err.value) == "line 3, column %d: unknown variable 'w'" % (line.index("w") + 1)
 
 
 def test_errors_carry_line_numbers():
