@@ -9,9 +9,10 @@ as _num/_den columns, check one per quantity, corpus one per fixture.
 Each check and corpus action is a subcommand that takes, after its name,
 only the flags it reads: argparse rejects any other flag and names a
 missing one.  flatness takes one --q; corpus run one of --all and --id.
-Exit codes: 0 success/PASS, 1 a check FAILED, 2 input error or a check
-INAPPLICABLE (thm33 included, when x is not a parameter on R/P),
-3 resource limit, 4 stabilization/certification failure.
+Exit codes: 0 success/PASS, 1 a check FAILED, 2 input error (an unreadable
+or undecodable session file included) or a check INAPPLICABLE (thm33
+included, when x is not a parameter on R/P), 3 resource limit,
+4 stabilization/certification failure.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .checks import (
 from .errors import CertificationError, InputError, ResourceLimitError
 from .fixtures import corpus, fixture_by_id
 from .hk import ehk_estimate, hk_function
-from .lengths import INFINITE, colength, dimension, hilbert_samuel, local_colength
+from .lengths import colength, dimension, hilbert_samuel, local_colength
 from .parser import parse_session
 
 EXIT_OK = 0
@@ -49,8 +50,6 @@ EXIT_CERTIFICATION = 4
 def _jsonable(value):
     if isinstance(value, Fraction):
         return {"num": str(value.numerator), "den": str(value.denominator)}
-    if value is INFINITE:
-        return "INFINITE"
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -78,9 +77,9 @@ def _emit(args, payload, header=None, rows=None):
 def _load_session(args):
     """The session read from --in, and its ring modulo its relations."""
     try:
-        with open(args.infile, "r", encoding="utf-8") as fh:
+        with open(args.infile, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError("cannot read %s: %s" % (args.infile, exc)) from None
     session = parse_session(text)
     return session, session.build_ring()

@@ -1,4 +1,5 @@
-"""The characteristic of F_p: a word-sized prime, checked here.
+"""The characteristic of F_p: a word-sized prime, checked here by trial
+division.
 
 Elements of F_p are plain ints in [0, p), and the PolynomialRing holds p
 as an int; this module only decides which p are admitted.
@@ -8,31 +9,18 @@ from __future__ import annotations
 
 from .errors import InputError
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test, valid for all n < 3_215_031_751."""
+    """Primality by trial division: by 2, then by each odd d with d*d <= n."""
     if n < 2:
         return False
-    for sp in _SMALL_PRIMES:
-        if n % sp == 0:
-            return n == sp
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    # Miller-Rabin with bases 2,3,5,7 is exact below 3,215,031,751 > 2^31.
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
             return False
+        d += 2
     return True
 
 

@@ -271,9 +271,6 @@ class GroebnerBasis:
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
 
-    def is_unit_ideal(self) -> bool:
-        return len(self.elements) == 1 and self.elements[0].is_constant() and not self.elements[0].is_zero()
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GroebnerBasis)

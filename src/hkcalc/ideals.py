@@ -1,4 +1,4 @@
-"""Ideals with value semantics: sums, products, powers, Frobenius bracket powers.
+"""Ideals with value semantics: sums and Frobenius bracket powers.
 
 Every constructor returns a fresh Ideal; the reduced Groebner basis (with
 the ring's relations adjoined) is computed lazily and cached on the ring.
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .errors import InputError
 from .groebner import GroebnerBasis, groebner_basis
-from .poly import Polynomial, is_power_of
+from .poly import is_power_of
 from .ring import PresentedRing
 
 
@@ -29,17 +29,11 @@ class Ideal:
             self._gb = groebner_basis(self.ring, self.generators)
         return self._gb
 
-    def contains(self, f: Polynomial) -> bool:
-        return self.gb().contains(f)
-
     def contains_ideal(self, other: "Ideal") -> bool:
         """True iff every generator of `other` lies in this ideal."""
         self._check(other)
         gb = self.gb()
         return all(gb.contains(g) for g in other.generators)
-
-    def is_unit(self) -> bool:
-        return self.gb().is_unit_ideal()
 
     def _check(self, other):
         if not isinstance(other, Ideal) or other.ring != self.ring:
@@ -60,21 +54,6 @@ class Ideal:
     def __add__(self, other) -> "Ideal":
         self._check(other)
         return Ideal(self.ring, self.generators + other.generators)
-
-    def product(self, other) -> "Ideal":
-        self._check(other)
-        gens = [a * b for a in self.generators for b in other.generators]
-        return Ideal(self.ring, gens)
-
-    def power(self, k: int) -> "Ideal":
-        if k < 0:
-            raise InputError("negative ideal power")
-        if k == 0:
-            return Ideal(self.ring, [self.ring.one()])
-        result = self
-        for _ in range(k - 1):
-            result = result.product(self)
-        return result
 
     # -- comparisons ----------------------------------------------------------
 

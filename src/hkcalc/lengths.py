@@ -33,22 +33,12 @@ HS_CAP = 64
 
 
 class _Infinite:
-    """Distinguished infinite length (non-Artinian quotient)."""
+    """The length of a non-Artinian quotient: a tag compared by identity
+    (`is INFINITE`) and tested with is_finite, never ordered against
+    numbers."""
 
     def __repr__(self):
         return "INFINITE"
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
 
 
 INFINITE = _Infinite()

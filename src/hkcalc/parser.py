@@ -75,7 +75,10 @@ class _PolyParser:
     def parse(self) -> Polynomial:
         if not self.tokens:
             self._fail(0, "empty polynomial")
-        poly = self._expr()
+        try:
+            poly = self._expr()
+        except RecursionError:
+            self._fail(self._peek()[2], "polynomial nested too deeply")
         kind, value, col = self._peek()
         if kind is not None:
             self._fail(col, "unexpected token %r" % value)

@@ -73,9 +73,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and sum(self.terms[0][0]) == 0)
-
     def constant_term(self) -> int:
         zero = (0,) * self.ring.nvars
         for mono, c in self.terms:

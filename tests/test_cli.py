@@ -254,6 +254,30 @@ def test_exit_code_input_errors(capsys, tmp_path, session_file):
     assert code == 2 and "--q" in err
 
 
+def test_session_file_not_utf8(capsys, tmp_path):
+    path = tmp_path / "latin1.hk"
+    path.write_bytes("# caf\u00e9\n".encode("latin-1") + QUADRIC.encode())
+    code, out, err = _run(capsys, ["colength", "--in", str(path), "--ideal", "m"])
+    assert (code, out) == (2, "") and err.startswith("error: cannot read %s: " % path), err
+
+
+def test_deep_nesting_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.hk"
+    path.write_text("char 5\nvars x y\nideal m = %sx%s, y\n" % ("(" * 1000, ")" * 1000))
+    code, out, err = _run(capsys, ["colength", "--in", str(path), "--ideal", "m"])
+    assert (code, out) == (2, "") and err.rstrip().endswith("polynomial nested too deeply"), err
+
+
+def test_session_file_with_bom(capsys, tmp_path, session_file):
+    """A UTF-8 session file that starts with a byte-order mark reads as if it
+    had none."""
+    bom = tmp_path / "bom.hk"
+    bom.write_bytes(QUADRIC.encode("utf-8-sig"))
+    argv = ["colength", "--ideal", "m", "--in"]
+    expected = _run(capsys, argv + [session_file])
+    assert expected[0] == 0 and _run(capsys, argv + [str(bom)]) == expected
+
+
 def test_exit_code_inapplicable(capsys, session_file):
     code, out, err = _run(
         capsys, ["check", "flatness", "--in", session_file, "--ideal", "m", "--q", "5"]

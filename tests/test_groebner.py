@@ -49,13 +49,6 @@ def test_monomial_ideal_fast_path():
     assert [g.is_monomial() for g in basis.elements] == [True, True, True]
 
 
-def test_unit_ideal_detection():
-    ring = ring_of(5, ("x", "y"))
-    basis = _gb(ring, ["x + 1", "x"])
-    assert basis.is_unit_ideal()
-    assert not _gb(ring, ["x", "y"]).is_unit_ideal()
-
-
 def test_normal_form_properties():
     rng = random.Random(23)
     ring = ring_of(5, ("x", "y", "z"))
@@ -526,4 +519,4 @@ def test_normal_form_rejects_other_ring():
     with pytest.raises(InputError):
         zero.gb().normal_form(f)
     with pytest.raises(InputError):
-        zero.contains(f)
+        zero.gb().contains(f)

@@ -29,9 +29,11 @@ def _ideal(ring, texts):
 
 def test_infinite_sentinel():
     assert not is_finite(INFINITE)
-    assert INFINITE > 10**9 and INFINITE >= INFINITE
-    assert not (INFINITE < 5) and 5 < INFINITE
     assert INFINITE != 0 and INFINITE == INFINITE
+    with pytest.raises(TypeError):
+        INFINITE < 5
+    with pytest.raises(TypeError):
+        5 < INFINITE
 
 
 def test_count_standard_monomials_basics():
@@ -333,7 +335,8 @@ def test_local_colength_vs_truncation_oracle():
         assert local == local_colength_truncated(7, ring.nvars, gens_terms, c + 1), I
         seen.add((local == c, local > 1))
         if trial % 3 == 0:
-            Ih = I.product(Ideal(ring, [_unit_at_origin(units, ring)]))
+            h = _unit_at_origin(units, ring)
+            Ih = Ideal(ring, [g * h for g in I.generators])
             assert colength(Ih) is INFINITE, Ih
             assert _assert_truncation_agrees(Ih, [list(g.terms) for g in Ih.generators]) == local
     # Some samples have points away from the origin, and some a fat origin.
@@ -409,7 +412,8 @@ def test_dimension_zero_exactly_when_local_colength_finite():
         degrees = [2, 2, 2] if trial % 2 else [rng.randint(2, 4) for _ in range(2)]
         I = _random_zero_dim_ideal(rng, ring, degrees)
         h = _unit_at_origin(units, ring)
-        ideals += [I, I.product(Ideal(ring, [h])), Ideal(ring, I.generators[:1]), Ideal(ring, [h])]
+        Ih = Ideal(ring, [g * h for g in I.generators])
+        ideals += [I, Ih, Ideal(ring, I.generators[:1]), Ideal(ring, [h])]
     seen = set()
     for I in ideals:
         if all(g.is_homogeneous() for g in I.generators + I.ring.relations):

@@ -124,6 +124,21 @@ def test_session_errors(text, fragment):
     assert fragment in str(err.value), str(err.value)
 
 
+def _nested(depth):
+    return "char 5\nvars x y\nideal m = %sx%s, y\n" % ("(" * depth, ")" * depth)
+
+
+def test_deep_nesting_is_an_input_error():
+    """Nesting past the interpreter's recursion limit is reported at a token
+    of its line, not as a RecursionError; the column depends on the caller's
+    stack, so it is not pinned."""
+    assert [g.render() for g in parse_session(_nested(50)).ideals["m"]] == ["x", "y"]
+    with pytest.raises(InputError) as err:
+        parse_session(_nested(1000))
+    message = str(err.value)
+    assert message.startswith("line 3, column ") and message.endswith(": polynomial nested too deeply"), message
+
+
 @pytest.mark.parametrize("blank", [" ", "   ", "\t"])
 @pytest.mark.parametrize("line", ["mod_x*y - w", "ideal_I =_x, w", "prime_P =_y,_w", "param_f =_w"])
 def test_error_columns_count_the_raw_line(line, blank):
