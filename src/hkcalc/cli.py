@@ -9,6 +9,9 @@ as _num/_den columns, check one per quantity, corpus one per fixture.
 Each check and corpus action is a subcommand that takes, after its name,
 only the flags it reads: argparse rejects any other flag and names a
 missing one.  flatness takes one --q; corpus run one of --all and --id.
+corpus run runs its fixtures in up to as many processes as there are CPUs
+in its affinity mask; its output is byte for byte that of a serial run,
+which `taskset -c 0 hkcalc corpus run --all` gives.
 Exit codes: 0 success/PASS, 1 a check FAILED, 2 input error (an unreadable
 or undecodable session file included) or a check INAPPLICABLE (thm33
 included, when x is not a parameter on R/P), 3 resource limit,
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -203,9 +207,98 @@ def _cmd_corpus_list(args):
     return EXIT_OK
 
 
+def _cpus():
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks (macOS, Windows): run serially
+        return 1
+
+
+def _helper(fixtures, seed, write_end):
+    """Run fixtures in a forked helper and write their results, up to the
+    first that raises, to write_end as JSON.  Ends with os._exit: it never
+    returns into its caller's stack nor flushes the stdio it inherited."""
+    code = 1
+    try:
+        results = []
+        try:
+            for fixture in fixtures:
+                results.append(_jsonable(fixture.run(seed=seed)))
+        except Exception:
+            pass  # the parent runs this fixture again and raises its error
+        with open(write_end, "w", encoding="utf-8") as out:
+            json.dump(results, out)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _collect(pid, read_end):
+    """Reap a helper; return the results it sent, or none unless it exited
+    0 and its JSON parses."""
+    chunks = []
+    try:
+        while chunk := os.read(read_end, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(read_end)
+        status = os.waitpid(pid, 0)[1]
+    try:
+        return json.loads(b"".join(chunks)) if status == 0 else []
+    except ValueError:
+        return []
+
+
+def _run_fixtures(fixtures, seed):
+    """Each fixture's result, in order, as a serial run gives them.
+
+    Fixture k runs in process k mod n, where n is the smaller of the CPUs
+    this process may use and the number of fixtures.  Process 0 is this one;
+    the others are forked helpers, so the caller runs no other thread (the
+    CLI starts none).  A fixture left without a result (it raised, or its
+    helper died) runs again here, in fixture order, so the first error in
+    fixture order is the one raised.
+    """
+    n = min(_cpus(), len(fixtures))
+    results = [None] * len(fixtures)
+    error_at, error = len(fixtures), None
+    helpers = []  # (index of its first fixture, pid, read end of its pipe)
+    try:
+        for first in range(1, n):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                pid = None
+            if pid == 0:
+                _helper(fixtures[first::n], seed, write_end)
+            os.close(write_end)
+            if pid is None:  # no helper: its fixtures run here, below
+                os.close(read_end)
+                break
+            helpers.append((first, pid, read_end))
+        for k in range(0, len(fixtures), n):
+            try:
+                results[k] = fixtures[k].run(seed=seed)
+            except Exception as exc:
+                error_at, error = k, exc
+                break
+    finally:
+        for first, pid, read_end in helpers:
+            for k, result in zip(range(first, len(fixtures), n), _collect(pid, read_end)):
+                results[k] = result
+    for k, fixture in enumerate(fixtures):
+        if k == error_at:
+            raise error
+        if results[k] is None:
+            results[k] = fixture.run(seed=seed)
+    return results
+
+
 def _cmd_corpus_run(args):
     fixtures = corpus() if args.all else [fixture_by_id(args.id)]
-    results = [f.run(seed=args.seed) for f in fixtures]
+    results = _run_fixtures(fixtures, args.seed)
     passed = sum(1 for r in results if r["passed"])
     payload = {
         "seed": args.seed,

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
 from hkcalc import cli
 from hkcalc.checks import CheckReport
+from hkcalc.errors import InputError
 from helpers import readme_block
 
 QUADRIC = """\
@@ -373,6 +377,122 @@ def test_corpus_output_pinned_at_seed_42(capsys):
     data = out.encode("utf-8")
     assert len(data) == 100210
     assert hashlib.sha256(data).hexdigest().startswith("4eec81ab9d9b928f")
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_corpus_bytes_do_not_depend_on_cpus(capsys, monkeypatch, cpus):
+    """One process or several, corpus run prints the same bytes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    code, out, _ = _run(capsys, ["corpus", "run", "--all", "--seed", "42"])
+    data = out.encode("utf-8")
+    assert (code, len(data)) == (0, 100210)
+    assert hashlib.sha256(data).hexdigest().startswith("4eec81ab9d9b928f")
+    code, out, _ = _run(capsys, ["corpus", "run", "--all", "--seed", "42", "--format", "csv"])
+    data = out.encode("utf-8")
+    assert (code, len(data)) == (0, 316)
+    assert hashlib.sha256(data).hexdigest().startswith("2df14d909a9e6779")
+    case = "- corpus run --id flatness-random-p5 --seed 7"
+    for fmt in ("json", "csv"):
+        code, out, err = _run(capsys, case.split()[1:] + ["--format", fmt])
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()[:16]
+        assert (code, digest, err) == GOLDEN[case][fmt]
+
+
+class FakeFixture(NamedTuple):
+    """Logs "index pid" to log on each run.  action "raise" raises an
+    InputError; in a forked helper, "exit0" and "exit1" end it with that
+    code, and "exit-late" makes it exit 3 once it has sent its results."""
+
+    index: int
+    log: str
+    parent: int
+    action: str = ""
+
+    def run(self, seed):
+        with open(self.log, "a") as fh:
+            fh.write("%d %d\n" % (self.index, os.getpid()))
+        if self.action == "raise":
+            raise InputError("fixture %d" % self.index)
+        if self.action == "exit-late" and os.getpid() != self.parent:
+            exit_now = os._exit
+            os._exit = lambda code: exit_now(3)
+        elif self.action.startswith("exit") and os.getpid() != self.parent:
+            os._exit(int(self.action[4:]))
+        return {"fixture": self.index, "seed": seed, "half": Fraction(self.index, 2)}
+
+
+def _fakes(tmp_path, count, **actions):
+    log = str(tmp_path / "runs.log")
+    fakes = [FakeFixture(k, log, os.getpid(), actions.get("at%d" % k, "")) for k in range(count)]
+    return fakes, log
+
+
+def _runs(log):
+    """(fixture index, pid) of every run, in fixture order, and the same with
+    each pid read as "parent" (this process) or "helper"."""
+    with open(log) as fh:
+        runs = sorted(tuple(int(part) for part in line.split()) for line in fh)
+    return runs, sorted((k, "parent" if pid == os.getpid() else "helper") for k, pid in runs)
+
+
+def _expected(count, seed):
+    return [{"fixture": k, "seed": seed, "half": Fraction(k, 2)} for k in range(count)]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_runner_strides_fixtures_over_processes(tmp_path, monkeypatch):
+    """Fixture k runs once, in process k mod 3; process 0 is this one."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    fakes, log = _fakes(tmp_path, 7)
+    results = cli._run_fixtures(fakes, 9)
+    _no_child_left()
+    assert cli._jsonable(results) == cli._jsonable(_expected(7, 9))
+    runs, _ = _runs(log)
+    assert [k for k, _ in runs] == list(range(7))
+    pids = [pid for _, pid in runs[:3]]
+    assert pids[0] == os.getpid() and len(set(pids)) == 3
+    assert [pid for _, pid in runs] == pids * 2 + pids[:1]
+
+
+def test_runner_raises_first_error_in_fixture_order(tmp_path, monkeypatch):
+    """A helper's error at index 3 wins over this process's at index 4."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    fakes, log = _fakes(tmp_path, 6, at3="raise", at4="raise")
+    with pytest.raises(InputError, match="^fixture 3$"):
+        cli._run_fixtures(fakes, 9)
+    _no_child_left()
+    # The helper stops at its error; fixture 3 runs again here to raise it.
+    assert _runs(log)[1] == [
+        (0, "parent"), (1, "helper"), (2, "parent"), (3, "helper"), (3, "parent"), (4, "parent"),
+    ]
+
+
+@pytest.mark.parametrize("action, in_helper", [("exit0", [1]), ("exit1", [1]), ("exit-late", [1, 3])])
+def test_runner_reruns_fixtures_of_a_failed_helper(tmp_path, monkeypatch, action, in_helper):
+    """A helper that exits before it sends JSON, with code 0 or not, or exits
+    non-zero after, gives no results: its fixtures run again here."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    fakes, log = _fakes(tmp_path, 5, at1=action)
+    results = cli._run_fixtures(fakes, 9)
+    _no_child_left()
+    assert cli._jsonable(results) == cli._jsonable(_expected(5, 9))
+    expected = [(k, "parent") for k in range(5)] + [(k, "helper") for k in in_helper]
+    assert _runs(log)[1] == sorted(expected)
+
+
+def test_runner_runs_serially_when_fork_fails(tmp_path, monkeypatch):
+    def no_fork():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(os, "fork", no_fork)
+    fakes, log = _fakes(tmp_path, 5)
+    assert cli._jsonable(cli._run_fixtures(fakes, 9)) == cli._jsonable(_expected(5, 9))
+    assert _runs(log)[1] == [(k, "parent") for k in range(5)]
 
 
 # -- golden output ------------------------------------------------------------

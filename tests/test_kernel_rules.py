@@ -24,6 +24,7 @@ STDLIB = {
     "itertools",
     "json",
     "operator",
+    "os",
     "random",
     "re",
     "sys",
