@@ -3,6 +3,8 @@
 Each check returns a CheckReport with every computed quantity, an exact
 PASS/FAIL verdict (tolerances appear only where a limit estimate is
 involved, and are printed), or INAPPLICABLE naming the unmet precondition.
+A report holds exact values, ints and Fractions; the CLI encodes them as
+JSON or CSV.
 """
 
 from __future__ import annotations
@@ -32,28 +34,11 @@ EHK_TOLERANCE = Fraction(1, 20)
 
 
 class CheckReport(NamedTuple):
-    check_id: str
+    check: str
     inputs: dict
     quantities: dict
     verdict: str
     detail: str
-
-    def to_dict(self) -> dict:
-        return {
-            "check": self.check_id,
-            "inputs": dict(self.inputs),
-            "quantities": {k: _jsonable(v) for k, v in self.quantities.items()},
-            "verdict": self.verdict,
-            "detail": self.detail,
-        }
-
-
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return {"num": str(value.numerator), "den": str(value.denominator)}
-    if isinstance(value, bool) or isinstance(value, int):
-        return value
-    return str(value)
 
 
 def _q_powers(ring: PresentedRing, q_list):
@@ -93,7 +78,7 @@ def check_kunz(ring: PresentedRing, q_list) -> CheckReport:
         verdict = FAIL
         detail = "violated: lambda(R/m^[q]) < q^d at some listed q (see quantities)"
     return CheckReport(
-        check_id="kunz",
+        check="kunz",
         inputs={"ring": repr(ring), "q": [int(q) for q in q_list]},
         quantities=quantities,
         verdict=verdict,
@@ -106,7 +91,7 @@ def check_flatness(ring: PresentedRing, I: Ideal, q: int) -> CheckReport:
     inputs = {"ring": repr(ring), "ideal": repr(I), "q": int(q)}
     if ring.relations:
         return CheckReport(
-            check_id="flatness",
+            check="flatness",
             inputs=inputs,
             quantities={},
             verdict=INAPPLICABLE,
@@ -116,7 +101,7 @@ def check_flatness(ring: PresentedRing, I: Ideal, q: int) -> CheckReport:
     lam = local_colength(I)
     if not is_finite(lam):
         return CheckReport(
-            check_id="flatness",
+            check="flatness",
             inputs=inputs,
             quantities={},
             verdict=INAPPLICABLE,
@@ -160,7 +145,7 @@ def check_lemma21(I: Ideal, J: Ideal, q_list) -> CheckReport:
     else:
         verdict, detail = FAIL, "violated: lhs > rhs at some q (see quantities)"
     return CheckReport(
-        check_id="lemma21",
+        check="lemma21",
         inputs={"ring": repr(ring), "ideal_i": repr(I), "ideal_j": repr(J), "q": [int(q) for q in q_list]},
         quantities=quantities,
         verdict=verdict,
@@ -265,7 +250,7 @@ def check_rescaling(ring: PresentedRing, e: int) -> CheckReport:
     else:
         verdict, detail = FAIL, "violated equality: %s != %s" % (lhs, rhs)
     return CheckReport(
-        check_id="rescaling",
+        check="rescaling",
         inputs={"ring": repr(ring), "e": e},
         quantities=quantities,
         verdict=verdict,

@@ -2,10 +2,13 @@
 
 Verbs: gb, dim, colength, local-colength, mult, hk, ehk, check, corpus.
 Each verb writes one result to stdout, as JSON (default) or CSV (--format
-csv); diagnostics go to stderr.  The CSV of dim, colength, local-colength
-and mult is one row: the JSON fields after "ring".  The other verbs print a
-table: gb one row per basis element, hk one per q, ehk its three fractions
-as _num/_den columns, check one per quantity, corpus one per fixture.
+csv); diagnostics go to stderr.  The kernel, the checks and the fixtures
+return exact values (records, ints, Fractions), and this module alone
+encodes them: _jsonable for JSON, each verb's table for CSV.  The CSV of
+dim, colength, local-colength and mult is one row: the JSON fields after
+"ring".  The other verbs print a table: gb one row per basis element, hk
+one per q, ehk its three fractions as _num/_den columns, check one per
+quantity (a Fraction as n/d), corpus one per fixture.
 Each check and corpus action is a subcommand that takes, after its name,
 only the flags it reads: argparse rejects any other flag and names a
 missing one.  flatness takes one --q; corpus run one of --all and --id.
@@ -52,10 +55,14 @@ EXIT_CERTIFICATION = 4
 
 
 def _jsonable(value):
+    """value with its records (named tuples) as dicts, Fractions as
+    {"num", "den"} string pairs and other objects as their str, for JSON."""
     if isinstance(value, Fraction):
         return {"num": str(value.numerator), "den": str(value.denominator)}
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
+    if hasattr(value, "_asdict"):
+        return _jsonable(value._asdict())
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, (bool, int, str)) or value is None:
@@ -64,9 +71,9 @@ def _jsonable(value):
 
 
 def _emit(args, payload, header=None, rows=None):
-    """Write a verb's one result to stdout: the payload as JSON, or as CSV
-    the given table; with no table, one row of the payload's fields after
-    "ring", which comes first."""
+    """Write a verb's one result to stdout: the payload, a dict or a record,
+    as JSON, or as CSV the given table; with no table, one row of the
+    payload's fields after "ring", which comes first."""
     if args.format == "json":
         sys.stdout.write(json.dumps(_jsonable(payload), indent=2) + "\n")
         return
@@ -103,10 +110,6 @@ def _q_list(raw):
     if not qs:
         raise InputError("--q needs at least one value")
     return qs
-
-
-def _hk_rows(report):
-    return [{"e": r.e, "q": r.q, "colength": r.colength, "ratio": r.ratio} for r in report.rows]
 
 
 # -- verb implementations -----------------------------------------------------
@@ -148,7 +151,7 @@ def _cmd_hk(args):
         "ring": repr(ring),
         "ideal": args.ideal,
         "d": report.d,
-        "rows": _hk_rows(report),
+        "rows": report.rows,
     }
     rows = [(r.e, r.q, r.colength, *r.ratio.as_integer_ratio()) for r in report.rows]
     _emit(args, payload, ("e", "q", "colength", "ratio_num", "ratio_den"), rows)
@@ -165,7 +168,7 @@ def _cmd_ehk(args):
         "estimate": est.estimate,
         "last_ratio": est.last_ratio,
         "gap": est.gap,
-        "rows": _hk_rows(est.report),
+        "rows": est.report.rows,
     }
     fractions = ("estimate", "last_ratio", "gap")
     header = [name + part for name in fractions for part in ("_num", "_den")]
@@ -185,14 +188,13 @@ def _thm23(session, ring, args):
 def _cmd_check(args):
     session, ring = _load_session(args)
     report = args.run(session, ring, args)
-    payload = report.to_dict()
-    cells = [("detail", payload["detail"])] + [
+    cells = [("detail", report.detail)] + [
         # an exact rational prints as n/d
-        (key, "%s/%s" % (value["num"], value["den"]) if isinstance(value, dict) else value)
-        for key, value in payload["quantities"].items()
+        (key, "%d/%d" % value.as_integer_ratio() if isinstance(value, Fraction) else value)
+        for key, value in report.quantities.items()
     ]
-    rows = [(payload["check"], payload["verdict"], key, value) for key, value in cells]
-    _emit(args, payload, ("check", "verdict", "key", "value"), rows)
+    rows = [(report.check, report.verdict, key, value) for key, value in cells]
+    _emit(args, report, ("check", "verdict", "key", "value"), rows)
     if report.verdict == FAIL:
         return EXIT_CHECK_FAILED
     if report.verdict == INAPPLICABLE:
@@ -217,7 +219,8 @@ def _cpus():
 
 def _helper(fixtures, seed, write_end):
     """Run fixtures in a forked helper and write their results, up to the
-    first that raises, to write_end as JSON.  Ends with os._exit: it never
+    first that raises, to write_end as JSON, encoded by _jsonable as the
+    caller's own results are when printed.  Ends with os._exit: it never
     returns into its caller's stack nor flushes the stdio it inherited."""
     code = 1
     try:

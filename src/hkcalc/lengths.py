@@ -12,7 +12,8 @@ skip the homogenization, as their reduced basis gives the same values.  So
 does input holding a pure power of every variable: its quotient lives at
 the origin alone, so it is local already, and its global leading ideal has
 as many standard monomials as the local one and gives dimension 0
-(Cox-Little-O'Shea, Using Algebraic Geometry, 4.2).
+(Cox-Little-O'Shea, Using Algebraic Geometry, 4.2).  dimension and
+local_colength each decide once per call which of the two routes to take.
 """
 
 from __future__ import annotations
@@ -162,16 +163,18 @@ def _count(gens, k):
 def _global_basis_suffices(I: Ideal) -> bool:
     """True when the reduced basis of I gives the local values at the origin.
 
-    Either I and the ring's relations are generated by forms, or together
+    Either the ring's relations and I are generated by forms, or together
     they hold a pure power of every variable (a constant counts for all).
     Then every maximal ideal over I is the origin's, so ring/(relations + I)
     is zero or Artinian local there, and its local and global colengths
-    agree.  Both conditions are read in one pass over the generators.
+    agree.  Both conditions are read in one pass over the generators,
+    relations first, so a ring with a relation that is not a form tests no
+    generator of I for homogeneity.
     """
     ring = I.ring
-    graded = ring._graded
+    graded = True
     unpowered = set(range(ring.nvars))
-    for g in I.generators + ring.relations:
+    for g in ring.relations + I.generators:
         if len(g.terms) == 1:
             m = g.terms[0][0]
             d = sum(m)
@@ -182,22 +185,16 @@ def _global_basis_suffices(I: Ideal) -> bool:
     return graded or not unpowered
 
 
-def _local_leading_monomials(I: Ideal):
-    """Generators of the local leading ideal of ring/(relations + I).
+def _lazard_leading_monomials(I: Ideal):
+    """Generators of the local leading ideal of ring/(relations + I), by
+    Lazard's method, for input where the global basis does not suffice.
 
-    Where the global basis suffices (graded input, or a pure power of every
-    variable) this is the leading ideal of I's reduced basis.  For input
-    with pure powers that is a global leading ideal, not the local one, but
-    it has the same number of standard monomials and gives dimension 0.
-    Otherwise this is Lazard's method: homogenize the generators and
-    relations with a new first variable t.  On forms of one degree, grlex
-    with t first prefers the higher power of t, so it homogenizes the local
-    degree order (lower degree is larger, ties by lex).  The leading
-    monomials of the reduced basis, t dropped, generate the local leading
-    ideal.
+    Homogenize the generators and relations with a new first variable t.
+    On forms of one degree, grlex with t first prefers the higher power of
+    t, so it homogenizes the local degree order (lower degree is larger,
+    ties by lex).  The leading monomials of the reduced basis, t dropped,
+    generate the local leading ideal.
     """
-    if _global_basis_suffices(I):
-        return I.gb().leading_monomials
     ring = I.ring
     # One homogenizing ring per ring, so the bases cached on it are reused.
     hring = ring._homogenizing
@@ -218,9 +215,16 @@ def dimension(I: Ideal) -> int:
     That of the tangent cone, whose leading ideal is the local leading
     ideal: the largest size of a variable subset S such that no leading
     monomial is supported entirely inside S; exhaustive over subsets.
+    Where the global basis suffices, the leading ideal of I's reduced basis
+    stands in for the local one.  For input with pure powers that is a
+    global leading ideal, but it gives dimension 0 as the local one does.
     """
     n = I.ring.nvars
-    supports = [frozenset(i for i in range(n) if m[i]) for m in _local_leading_monomials(I)]
+    if _global_basis_suffices(I):
+        leading = I.gb().leading_monomials
+    else:
+        leading = _lazard_leading_monomials(I)
+    supports = [frozenset(i for i in range(n) if m[i]) for m in leading]
     if frozenset() in supports:
         raise InputError("empty at the origin: the ideal is a unit in the local ring")
     for size in range(n, -1, -1):
@@ -245,11 +249,13 @@ def local_colength(I: Ideal):
 
     The number of standard monomials of the local leading ideal: INFINITE
     iff the origin is not isolated, 0 iff I is a unit there.  Where the
-    global basis suffices, this is the global colength.
+    global basis suffices, this is the global colength: for input with pure
+    powers the global leading ideal has as many standard monomials as the
+    local one.
     """
     if _global_basis_suffices(I):
         return colength(I)
-    return count_standard_monomials(_local_leading_monomials(I), I.ring.nvars)
+    return count_standard_monomials(_lazard_leading_monomials(I), I.ring.nvars)
 
 
 def quotient_length(I: Ideal, J: Ideal):

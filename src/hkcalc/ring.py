@@ -86,14 +86,7 @@ class PresentedRing:
     """`ambient`, a PolynomialRing, modulo `relations`, a tuple of its
     polynomials; the Groebner bases computed over it are cached here."""
 
-    __slots__ = (
-        "ambient",
-        "relations",
-        "_bases",
-        "_elements",
-        "_homogenizing",
-        "_graded",
-    )
+    __slots__ = ("ambient", "relations", "_bases", "_elements", "_homogenizing")
 
     def __init__(self, ambient: PolynomialRing, relations=()):
         self.ambient = ambient
@@ -108,7 +101,6 @@ class PresentedRing:
         self._bases = {}  # sorted generator terms -> reduced GroebnerBasis
         self._elements = {}  # terms -> the one element of _bases with them
         self._homogenizing = None  # built by lengths for the first Lazard route
-        self._graded = all(r.is_homogeneous() for r in self.relations)
 
     @property
     def p(self) -> int:

@@ -1,8 +1,10 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from hkcalc import (
+    CheckReport,
     Ideal,
     InputError,
     check_flatness,
@@ -13,7 +15,9 @@ from hkcalc import (
     check_thm33,
     hilbert_samuel,
 )
+from hkcalc import cli
 from hkcalc.checks import EHK_TOLERANCE
+from hkcalc.fixtures import fixture_by_id
 from helpers import poly_of, ring_of
 
 
@@ -192,12 +196,28 @@ def test_rescaling():
         check_rescaling(cone, 0)
 
 
-def test_report_to_dict_is_json_friendly():
-    import json
-
+def test_report_encodes_through_the_cli():
+    """A report holds exact values; the CLI's one encoder turns it into the
+    JSON object it prints, keys in field order, rationals as string pairs."""
     ring = ring_of(5, ("x", "y", "z"))
     report = check_thm33(_ideal(ring, ["y", "z"]), ring.var(0), [5])
-    payload = report.to_dict()
-    text = json.dumps(payload)
-    assert '"num": "1"' in text  # fractions become num/den string pairs
+    assert report.quantities["ratio_local_q5"] == Fraction(1)
+    payload = cli._jsonable(report)
+    assert list(payload) == ["check", "inputs", "quantities", "verdict", "detail"]
+    assert payload["quantities"]["ratio_local_q5"] == {"num": "1", "den": "1"}
+    assert payload["quantities"]["lhs_q5"] == 125
     assert payload["verdict"] == "PASS"
+    assert json.loads(json.dumps(payload)) == payload
+    odd = CheckReport("odd", {"q": [5]}, {"r": Fraction(-3, 7), "eq": True}, "FAIL", "")
+    assert cli._jsonable(odd)["quantities"] == {"r": {"num": "-3", "den": "7"}, "eq": True}
+
+
+def test_fixture_results_hold_exact_values():
+    result = fixture_by_id("quadric-cone-p5").run(seed=42)
+    assert [type(c) for c in result["checks"]] == [CheckReport] * 3
+    thm33 = next(c for c in result["checks"] if c.check == "thm33")
+    assert thm33.quantities["ratio_global_q5"] == Fraction(37, 25)
+    assert isinstance(thm33.quantities["ratio_global_q5"], Fraction)
+    near = result["expectations"][0]
+    assert near["expected"] == Fraction(3, 2)
+    assert isinstance(near["actual"], Fraction)

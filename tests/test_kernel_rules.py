@@ -1,7 +1,9 @@
 """The package keeps its arithmetic exact and its dependencies to the stdlib,
-only the CLI writes to stdout or stderr, no closure calls itself, every
-import sits at module level, so the import graph is read off module tops,
-and no module keeps mutable state, so no call leaves anything for the next.
+only the CLI writes to stdout or stderr or imports an output format (json,
+csv), so results stay exact values until it prints them, no closure calls
+itself, every import sits at module level, so the import graph is read off
+module tops, and no module keeps mutable state, so no call leaves anything
+for the next.
 
 Every module under src/hkcalc is parsed, not imported, so the rule holds for
 code paths no other test reaches.
@@ -32,14 +34,16 @@ STDLIB = {
 }
 INEXACT_CALLS = {"float", "complex", "round"}
 STREAMS = {"stdout", "stderr"}
-# The one module that may write output, so stdout has one writer.
+FORMATS = {"csv", "json"}
+# The one module that may write output or encode it, so stdout has one
+# writer and results one encoder.
 WRITER = "cli.py"
 MUTABLE_DISPLAYS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
 MUTABLE_CALLS = {"dict", "list", "set"}
 
 
 def _writes(tree):
-    """Uses of print, sys.stdout and sys.stderr."""
+    """Uses of print, sys.stdout and sys.stderr, and imports of json and csv."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and node.id == "print":
             yield node.lineno, "use of print"
@@ -50,10 +54,17 @@ def _writes(tree):
             and node.value.id == "sys"
         ):
             yield node.lineno, "use of sys.%s" % node.attr
-        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+        elif isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name in STREAMS:
-                    yield node.lineno, "import of sys.%s" % alias.name
+                if alias.name.split(".")[0] in FORMATS:
+                    yield node.lineno, "import of %s" % alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] in FORMATS:
+                yield node.lineno, "import from %s" % node.module
+            elif node.module == "sys":
+                for alias in node.names:
+                    if alias.name in STREAMS:
+                        yield node.lineno, "import of sys.%s" % alias.name
 
 
 def _recursive_closures(tree):
@@ -183,8 +194,12 @@ def test_rules_catch_each_violation():
         "def fresh():\n"
         "    return {}\n"
     )
-    tree = ast.parse(bad + output + closures + imports + state)
-    assert sorted(lineno for lineno, _ in _violations(tree)) == [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 19, 21, 24]
+    # Lines 27 and 28 import output formats, which only the writer may.
+    formats = "import json\nfrom csv import writer\n"
+    tree = ast.parse(bad + output + closures + imports + state + formats)
+    assert sorted(lineno for lineno, _ in _violations(tree)) == [
+        1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 19, 21, 24, 27, 28,
+    ]
     assert sorted(lineno for lineno, _ in _violations(tree, may_write=True)) == [
         1, 2, 3, 4, 5, 11, 19, 21, 24,
     ]

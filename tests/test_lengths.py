@@ -9,6 +9,7 @@ from hkcalc import (
     INFINITE,
     Ideal,
     InputError,
+    Polynomial,
     colength,
     count_standard_monomials,
     dimension,
@@ -248,6 +249,29 @@ def test_local_colength_reuses_its_homogenizing_ring(monkeypatch):
     made.clear()
     assert local_colength(_ideal(ring, texts)) == 2
     assert made == []
+
+
+def test_each_call_decides_its_route_once(monkeypatch):
+    """dimension and local_colength each read the route once, Lazard's
+    included, and a relation that is not a form settles it before any
+    generator is tested for homogeneity."""
+    decided = []
+    suffices = hkcalc.lengths._global_basis_suffices
+    monkeypatch.setattr(
+        hkcalc.lengths, "_global_basis_suffices", lambda I: decided.append(I) or suffices(I)
+    )
+    ring = ring_of(5, ("x", "y"))
+    I = _ideal(ring, ["x*y - x", "y^3 - y^2"])
+    assert local_colength(I) == 2
+    assert dimension(I) == 0
+    assert decided == [I, I]
+
+    tested = []
+    is_homogeneous = Polynomial.is_homogeneous
+    monkeypatch.setattr(Polynomial, "is_homogeneous", lambda f: tested.append(f) or is_homogeneous(f))
+    cubic = ring_of(5, ("x", "y", "z"), relations=("x*y - z^3",))
+    assert not suffices(_ideal(cubic, ["y - z^2", "x^2 + y^2"]))
+    assert tested == list(cubic.relations)
 
 
 def test_local_colength_ten_variables():
