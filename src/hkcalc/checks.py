@@ -3,6 +3,8 @@
 Each check returns a CheckReport with every computed quantity, an exact
 PASS/FAIL verdict (tolerances appear only where a limit estimate is
 involved, and are printed), or INAPPLICABLE naming the unmet precondition.
+Every report is built by one of two functions: _judged gives PASS or FAIL
+with the matching detail, _unmet gives INAPPLICABLE with the reason.
 A report holds exact values, ints and Fractions; the CLI encodes them as
 JSON or CSV.
 """
@@ -41,6 +43,18 @@ class CheckReport(NamedTuple):
     detail: str
 
 
+def _judged(check, inputs, quantities, ok, passed, failed) -> CheckReport:
+    """PASS with the detail passed when ok, else FAIL with the detail failed."""
+    if ok:
+        return CheckReport(check, inputs, quantities, PASS, passed)
+    return CheckReport(check, inputs, quantities, FAIL, failed)
+
+
+def _unmet(check, inputs, reason) -> CheckReport:
+    """INAPPLICABLE, naming the unmet precondition."""
+    return CheckReport(check, inputs, {}, INAPPLICABLE, "precondition unmet: %s" % reason)
+
+
 def _q_powers(ring: PresentedRing, q_list):
     p = ring.p
     for q in q_list:
@@ -67,22 +81,15 @@ def check_kunz(ring: PresentedRing, q_list) -> CheckReport:
         if lam != bound:
             all_equal = False
     quantities["equality_all_q"] = all_equal
-    if ok:
-        detail = (
-            "lower bound holds at every q; equality throughout (regularity signal)"
-            if all_equal
-            else "lower bound holds at every q; strict at some q (singularity signal)"
-        )
-        verdict = PASS
-    else:
-        verdict = FAIL
-        detail = "violated: lambda(R/m^[q]) < q^d at some listed q (see quantities)"
-    return CheckReport(
-        check="kunz",
-        inputs={"ring": repr(ring), "q": [int(q) for q in q_list]},
-        quantities=quantities,
-        verdict=verdict,
-        detail=detail,
+    return _judged(
+        "kunz",
+        {"ring": repr(ring), "q": [int(q) for q in q_list]},
+        quantities,
+        ok,
+        "lower bound holds at every q; equality throughout (regularity signal)"
+        if all_equal
+        else "lower bound holds at every q; strict at some q (singularity signal)",
+        "violated: lambda(R/m^[q]) < q^d at some listed q (see quantities)",
     )
 
 
@@ -90,23 +97,11 @@ def check_flatness(ring: PresentedRing, I: Ideal, q: int) -> CheckReport:
     """Exact identity lambda(R/I^[q]) = q^d * lambda(R/I) on a polynomial ring."""
     inputs = {"ring": repr(ring), "ideal": repr(I), "q": int(q)}
     if ring.relations:
-        return CheckReport(
-            check="flatness",
-            inputs=inputs,
-            quantities={},
-            verdict=INAPPLICABLE,
-            detail="precondition unmet: the ring has relations (not the regular model)",
-        )
+        return _unmet("flatness", inputs, "the ring has relations (not the regular model)")
     _q_powers(ring, [q])
     lam = local_colength(I)
     if not is_finite(lam):
-        return CheckReport(
-            check="flatness",
-            inputs=inputs,
-            quantities={},
-            verdict=INAPPLICABLE,
-            detail="precondition unmet: the ideal is not m-primary",
-        )
+        return _unmet("flatness", inputs, "the ideal is not m-primary")
     d = ring.nvars
     lhs = local_colength(I.bracket_power(q))
     rhs = q**d * lam
@@ -116,11 +111,14 @@ def check_flatness(ring: PresentedRing, I: Ideal, q: int) -> CheckReport:
         "q_pow_d_times_lambda": rhs,
         "d": d,
     }
-    if lhs == rhs:
-        verdict, detail = PASS, "exact equality %d = %d" % (lhs, rhs)
-    else:
-        verdict, detail = FAIL, "violated equality: %d != %d" % (lhs, rhs)
-    return CheckReport("flatness", inputs, quantities, verdict, detail)
+    return _judged(
+        "flatness",
+        inputs,
+        quantities,
+        lhs == rhs,
+        "exact equality %d = %d" % (lhs, rhs),
+        "violated equality: %d != %d" % (lhs, rhs),
+    )
 
 
 def check_lemma21(I: Ideal, J: Ideal, q_list) -> CheckReport:
@@ -140,16 +138,13 @@ def check_lemma21(I: Ideal, J: Ideal, q_list) -> CheckReport:
         quantities["rhs_q%d" % q] = rhs
         if not (lhs <= rhs):
             ok = False
-    if ok:
-        verdict, detail = PASS, "inequality holds at every listed q"
-    else:
-        verdict, detail = FAIL, "violated: lhs > rhs at some q (see quantities)"
-    return CheckReport(
-        check="lemma21",
-        inputs={"ring": repr(ring), "ideal_i": repr(I), "ideal_j": repr(J), "q": [int(q) for q in q_list]},
-        quantities=quantities,
-        verdict=verdict,
-        detail=detail,
+    return _judged(
+        "lemma21",
+        {"ring": repr(ring), "ideal_i": repr(I), "ideal_j": repr(J), "q": [int(q) for q in q_list]},
+        quantities,
+        ok,
+        "inequality holds at every listed q",
+        "violated: lhs > rhs at some q (see quantities)",
     )
 
 
@@ -178,7 +173,7 @@ def check_thm23(J: Ideal, x: Polynomial, minimal_primes, e_max: int) -> CheckRep
             if dimension(P) != 1:
                 raise InputError("a declared minimal prime has dim(R/P) != 1")
     except InputError as exc:
-        return CheckReport("thm23", inputs, {}, INAPPLICABLE, "precondition unmet: %s" % exc)
+        return _unmet("thm23", inputs, exc)
     # Regularity of R_P and primality itself are fixture declarations; the
     # non-zerodivisor hypothesis is only checked at the parameter level.
     est = ehk_estimate(I, e_max)
@@ -189,19 +184,23 @@ def check_thm23(J: Ideal, x: Polynomial, minimal_primes, e_max: int) -> CheckRep
         "estimate_gap": est.gap,
         "lambda_R_mod_I": lam,
     }
-    if est.estimate >= lam - EHK_TOLERANCE:
-        verdict = PASS
-        detail = "estimate %s >= lambda %d - %s" % (est.estimate, lam, EHK_TOLERANCE)
-    else:
-        verdict = FAIL
-        detail = "violated: estimate %s < lambda %d - %s" % (est.estimate, lam, EHK_TOLERANCE)
-    return CheckReport("thm23", inputs, quantities, verdict, detail)
+    return _judged(
+        "thm23",
+        inputs,
+        quantities,
+        est.estimate >= lam - EHK_TOLERANCE,
+        "estimate %s >= lambda %d - %s" % (est.estimate, lam, EHK_TOLERANCE),
+        "violated: estimate %s < lambda %d - %s" % (est.estimate, lam, EHK_TOLERANCE),
+    )
 
 
 def check_thm33(P: Ideal, x: Polynomial, q_list) -> CheckReport:
     """q * lambda_{R_P}((R/P^[q])_P) <= lambda(R/m^[q]) for each listed q.
 
-    t = dim(R/P) is restricted to 1 (the base case of the induction)."""
+    t = dim(R/P) is restricted to 1 (the base case of the induction).
+    INAPPLICABLE, with the kernel's message, unless x is a parameter on the
+    one-dimensional R/P.
+    """
     ring = P.ring
     q_list = _q_powers(ring, q_list)
     inputs = {
@@ -210,15 +209,16 @@ def check_thm33(P: Ideal, x: Polynomial, q_list) -> CheckReport:
         "param": x.render(),
         "q": [int(q) for q in q_list],
     }
+    try:
+        require_parameter(x, P)
+    except InputError as exc:
+        return _unmet("thm33", inputs, exc)
     d = dimension(Ideal(ring, ()))
     m = maximal_ideal(ring)
     quantities = {"d": d, "t": 1}
     ok = True
     for q in q_list:
-        try:
-            lfc = localized_frobenius_colength(P, q, x)
-        except InputError as exc:  # dim(R/P) != 1, or x not a parameter on R/P
-            return CheckReport("thm33", inputs, {}, INAPPLICABLE, "precondition unmet: %s" % exc)
+        lfc = localized_frobenius_colength(P, q, x)
         rhs = local_colength(m.bracket_power(q))
         lhs = q * lfc
         quantities["localized_colength_q%d" % q] = lfc
@@ -229,11 +229,14 @@ def check_thm33(P: Ideal, x: Polynomial, q_list) -> CheckReport:
         quantities["ratio_global_q%d" % q] = Fraction(rhs, q**d)
         if not (lhs <= rhs):
             ok = False
-    if ok:
-        verdict, detail = PASS, "semicontinuity bound holds at every listed q"
-    else:
-        verdict, detail = FAIL, "violated: q*lambda_P > lambda(R/m^[q]) at some q"
-    return CheckReport("thm33", inputs, quantities, verdict, detail)
+    return _judged(
+        "thm33",
+        inputs,
+        quantities,
+        ok,
+        "semicontinuity bound holds at every listed q",
+        "violated: q*lambda_P > lambda(R/m^[q]) at some q",
+    )
 
 
 def check_rescaling(ring: PresentedRing, e: int) -> CheckReport:
@@ -245,14 +248,11 @@ def check_rescaling(ring: PresentedRing, e: int) -> CheckReport:
     lhs = local_colength(m.bracket_power(p).bracket_power(p**e))
     rhs = local_colength(m.bracket_power(p ** (e + 1)))
     quantities = {"lhs": lhs, "rhs": rhs, "p": p, "e": e}
-    if lhs == rhs:
-        verdict, detail = PASS, "exact equality %s = %s" % (lhs, rhs)
-    else:
-        verdict, detail = FAIL, "violated equality: %s != %s" % (lhs, rhs)
-    return CheckReport(
-        check="rescaling",
-        inputs={"ring": repr(ring), "e": e},
-        quantities=quantities,
-        verdict=verdict,
-        detail=detail,
+    return _judged(
+        "rescaling",
+        {"ring": repr(ring), "e": e},
+        quantities,
+        lhs == rhs,
+        "exact equality %s = %s" % (lhs, rhs),
+        "violated equality: %s != %s" % (lhs, rhs),
     )

@@ -11,7 +11,8 @@ one per q, ehk its three fractions as _num/_den columns, check one per
 quantity (a Fraction as n/d), corpus one per fixture.
 Each check and corpus action is a subcommand that takes, after its name,
 only the flags it reads: argparse rejects any other flag and names a
-missing one.  flatness takes one --q; corpus run one of --all and --id.
+missing one.  flatness takes one --q; corpus run one of --all and --id;
+corpus list no --spair-cap.
 corpus run runs its fixtures in up to as many processes as there are CPUs
 in its affinity mask; its output is byte for byte that of a serial run,
 which `taskset -c 0 hkcalc corpus run --all` gives.
@@ -394,8 +395,10 @@ def build_arg_parser():
     sp = sub.add_parser("corpus", help="list or run the fixture corpus")
     actions = sp.add_subparsers(dest="action", required=True)
     cp = actions.add_parser("list")
-    _add_common(cp, session_file=False)
-    cp.set_defaults(fn=_cmd_corpus_list)
+    # list builds no basis, so of the common flags it takes only --format;
+    # main still installs the default cap for it.
+    cp.add_argument("--format", choices=("json", "csv"), default="json")
+    cp.set_defaults(fn=_cmd_corpus_list, spair_cap=groebner.DEFAULT_SPAIR_CAP)
     cp = actions.add_parser("run")
     which = cp.add_mutually_exclusive_group(required=True)
     which.add_argument("--all", action="store_true")

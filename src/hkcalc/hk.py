@@ -88,8 +88,6 @@ def localized_frobenius_colength(P: Ideal, q: int, x: Polynomial) -> int:
     to divide is reported as such.
     """
     denominator = hilbert_samuel(x, P).value
-    if q == 1:
-        return 1
     numerator = hilbert_samuel(x, P.bracket_power(q)).value
     if numerator % denominator != 0:
         raise AssociativityRatioError(

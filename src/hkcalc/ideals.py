@@ -55,13 +55,6 @@ class Ideal:
         self._check(other)
         return Ideal(self.ring, self.generators + other.generators)
 
-    # -- comparisons ----------------------------------------------------------
-
-    def same_ideal(self, other) -> bool:
-        """True iff the two ideals coincide (reduced bases are canonical)."""
-        self._check(other)
-        return self.gb() == other.gb()
-
     def __repr__(self) -> str:
         return "Ideal(%s)" % ", ".join(g.render() for g in self.generators)
 

@@ -188,22 +188,6 @@ class SessionInput(NamedTuple):
             raise InputError("parameter lives in a different ring")
         return self.params[name]
 
-    def to_text(self) -> str:
-        """Canonical DSL rendering; reparsing yields an identical session."""
-        out = [
-            "char %d" % self.ring.p,
-            "vars %s" % " ".join(self.ring.variables),
-            "order %s" % self.ring.order.kind,
-        ]
-        for r in self.relations:
-            out.append("mod %s" % r.render())
-        for keyword, table in (("ideal", self.ideals), ("prime", self.primes)):
-            for name, gens in table.items():
-                out.append("%s %s = %s" % (keyword, name, ", ".join(g.render() for g in gens)))
-        for name, g in self.params.items():
-            out.append("param %s = %s" % (name, g.render()))
-        return "\n".join(out) + "\n"
-
 
 def _strip_comment(line: str) -> str:
     idx = line.find("#")

@@ -27,6 +27,24 @@ def random_poly(rng, ring, max_terms=5, max_exp=4):
     return ring.poly(terms)
 
 
+def session_text(session):
+    """Canonical DSL rendering of a parsed session; reparsing it yields an
+    identical session."""
+    out = [
+        "char %d" % session.ring.p,
+        "vars %s" % " ".join(session.ring.variables),
+        "order %s" % session.ring.order.kind,
+    ]
+    for r in session.relations:
+        out.append("mod %s" % r.render())
+    for keyword, table in (("ideal", session.ideals), ("prime", session.primes)):
+        for name, gens in table.items():
+            out.append("%s %s = %s" % (keyword, name, ", ".join(g.render() for g in gens)))
+    for name, g in session.params.items():
+        out.append("param %s = %s" % (name, g.render()))
+    return "\n".join(out) + "\n"
+
+
 def readme_block(marker):
     """The first fenced block of README.md after the text marker."""
     readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import hkcalc.checks
 from hkcalc import (
     CheckReport,
     Ideal,
@@ -18,6 +19,7 @@ from hkcalc import (
 from hkcalc import cli
 from hkcalc.checks import EHK_TOLERANCE
 from hkcalc.fixtures import fixture_by_id
+from hkcalc.hk import EHKEstimate
 from helpers import poly_of, ring_of
 
 
@@ -175,6 +177,7 @@ def test_thm33_inapplicable():
     ring = ring_of(5, ("x", "y", "z"))
     report = check_thm33(_ideal(ring, ["z"]), ring.var(0), [5])
     assert report.verdict == "INAPPLICABLE"
+    assert report.detail == "precondition unmet: dim(R/J) != 1"
 
 
 def test_thm33_non_parameter_inapplicable():
@@ -194,6 +197,73 @@ def test_rescaling():
     assert report.quantities["lhs"] == report.quantities["rhs"] == 937
     with pytest.raises(InputError):
         check_rescaling(cone, 0)
+
+
+def _returning(*values):
+    """A stand-in that ignores its arguments and returns values in turn."""
+    values = iter(values)
+    return lambda *args: next(values)
+
+
+def _run_check(name):
+    regular = ring_of(5, ("x", "y", "z"))
+    cone = ring_of(5, ("x", "y", "z"), relations=("x*y - z^2",))
+    plane = ring_of(5, ("x", "y"))
+    if name == "kunz":
+        return check_kunz(plane, [5])
+    if name == "flatness":
+        return check_flatness(plane, _ideal(plane, ["x", "y"]), 5)
+    if name == "lemma21":
+        return check_lemma21(_ideal(plane, ["x^2", "y"]), _ideal(plane, ["x", "y"]), [5])
+    if name == "thm23":
+        J = _ideal(cone, ["y", "z"])
+        return check_thm23(J, cone.var(0), [J], 3)
+    if name == "thm33":
+        return check_thm33(_ideal(regular, ["y", "z"]), regular.var(0), [5])
+    return check_rescaling(cone, 1)
+
+
+ZERO = Fraction(0)
+
+
+@pytest.mark.parametrize(
+    "name, target, values, detail",
+    [
+        (
+            "kunz",
+            "local_colength",
+            (0,),
+            "violated: lambda(R/m^[q]) < q^d at some listed q (see quantities)",
+        ),
+        ("flatness", "local_colength", (1, 1), "violated equality: 1 != 25"),
+        (
+            "lemma21",
+            "local_colength",
+            (10, 0, 0),
+            "violated: lhs > rhs at some q (see quantities)",
+        ),
+        (
+            "thm23",
+            "ehk_estimate",
+            (EHKEstimate(ZERO, ZERO, ZERO, None),),
+            "violated: estimate 0 < lambda 1 - 1/20",
+        ),
+        (
+            "thm33",
+            "localized_frobenius_colength",
+            (125,),
+            "violated: q*lambda_P > lambda(R/m^[q]) at some q",
+        ),
+        ("rescaling", "local_colength", (1, 2), "violated equality: 1 != 2"),
+    ],
+    ids=["kunz", "flatness", "lemma21", "thm23", "thm33", "rescaling"],
+)
+def test_each_check_reports_a_violation(monkeypatch, name, target, values, detail):
+    """Each check turns a violated claim into FAIL with its own detail: what
+    the check reads in hkcalc.checks is replaced by values that break it."""
+    monkeypatch.setattr(hkcalc.checks, target, _returning(*values))
+    report = _run_check(name)
+    assert (report.check, report.verdict, report.detail) == (name, "FAIL", detail)
 
 
 def test_report_encodes_through_the_cli():

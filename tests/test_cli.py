@@ -183,11 +183,13 @@ def test_check_names_its_missing_flag(capsys, session_file, argv, flag):
         ["corpus", "run"],
         ["corpus", "run", "--all", "--id", "regular-1d-p2"],
         ["corpus", "list", "--seed", "7"],
+        ["corpus", "list", "--spair-cap", "5"],
     ],
 )
 def test_actions_reject_flags_they_do_not_read(capsys, session_file, argv):
     """A check or corpus action takes only the flags it reads: flatness one
-    q, corpus run exactly one of --all and --id."""
+    q, corpus run exactly one of --all and --id, corpus list no --spair-cap,
+    as it builds no basis."""
     if argv[0] == "check":
         argv = argv + ["--in", session_file]
     code, out, err = _run(capsys, argv)

@@ -127,9 +127,11 @@ def test_localized_frobenius_colength_quadric():
 
 
 def test_localized_frobenius_colength_requires_dim_one():
+    """The hypotheses are tested at every q, q = 1 included."""
     ring = ring_of(5, ("x", "y", "z"))
-    with pytest.raises(InputError):
-        localized_frobenius_colength(_ideal(ring, ["z"]), 5, ring.var(0))
+    for q in (1, 5):
+        with pytest.raises(InputError):
+            localized_frobenius_colength(_ideal(ring, ["z"]), q, ring.var(0))
 
 
 def test_associativity_error_is_certification_error():

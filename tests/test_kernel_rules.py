@@ -3,7 +3,8 @@ only the CLI writes to stdout or stderr or imports an output format (json,
 csv), so results stay exact values until it prints them, no closure calls
 itself, every import sits at module level, so the import graph is read off
 module tops, and no module keeps mutable state, so no call leaves anything
-for the next.
+for the next.  In checks.py a CheckReport is built only by _judged and
+_unmet, so each verdict is decided in one place.
 
 Every module under src/hkcalc is parsed, not imported, so the rule holds for
 code paths no other test reaches.
@@ -40,6 +41,8 @@ FORMATS = {"csv", "json"}
 WRITER = "cli.py"
 MUTABLE_DISPLAYS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
 MUTABLE_CALLS = {"dict", "list", "set"}
+# The functions of checks.py that may build a CheckReport.
+REPORT_BUILDERS = {"_judged", "_unmet"}
 
 
 def _writes(tree):
@@ -128,6 +131,19 @@ def _module_state(tree):
             yield node.lineno, "global statement"
 
 
+def _reports(tree):
+    """(line, built by a report builder) for each call to CheckReport."""
+    inside = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name in REPORT_BUILDERS
+        for node in ast.walk(fn)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "CheckReport":
+            yield node.lineno, id(node) in inside
+
+
 def _violations(tree, may_write=False):
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
@@ -203,3 +219,18 @@ def test_rules_catch_each_violation():
     assert sorted(lineno for lineno, _ in _violations(tree, may_write=True)) == [
         1, 2, 3, 4, 5, 11, 19, 21, 24,
     ]
+
+
+def test_check_reports_come_from_the_two_builders():
+    """Every CheckReport of checks.py is built inside _judged or _unmet."""
+    checks = ast.parse((PACKAGE / "checks.py").read_text())
+    built = list(_reports(checks))
+    assert built and all(by_builder for _, by_builder in built), built
+    # Line 2 builds inside a builder; line 4, in a check, does not.
+    sample = (
+        "def _unmet(check, inputs, reason):\n"
+        "    return CheckReport(check, inputs, {}, 'INAPPLICABLE', reason)\n"
+        "def check_x():\n"
+        "    return CheckReport(check='x')\n"
+    )
+    assert sorted(_reports(ast.parse(sample))) == [(2, True), (4, False)]
