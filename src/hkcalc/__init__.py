@@ -19,7 +19,7 @@ from .errors import (
     InputError,
     ResourceLimitError,
 )
-from .groebner import GroebnerBasis, groebner_basis, normal_form, s_polynomial
+from .groebner import GroebnerBasis, groebner_basis, normal_form
 from .hk import EHKEstimate, HKReport, HKRow, ehk_estimate, hk_function, localized_frobenius_colength
 from .ideals import Ideal, maximal_ideal
 from .lengths import (

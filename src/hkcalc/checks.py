@@ -95,10 +95,10 @@ def check_kunz(ring: PresentedRing, q_list) -> CheckReport:
 
 def check_flatness(ring: PresentedRing, I: Ideal, q: int) -> CheckReport:
     """Exact identity lambda(R/I^[q]) = q^d * lambda(R/I) on a polynomial ring."""
+    _q_powers(ring, [q])
     inputs = {"ring": repr(ring), "ideal": repr(I), "q": int(q)}
     if ring.relations:
         return _unmet("flatness", inputs, "the ring has relations (not the regular model)")
-    _q_powers(ring, [q])
     lam = local_colength(I)
     if not is_finite(lam):
         return _unmet("flatness", inputs, "the ideal is not m-primary")

@@ -90,13 +90,13 @@ class _Packing:
 
 
 class _TermDict:
-    """An unsorted polynomial: `terms` maps each monomial, an exponent tuple
-    or an int of `packing`, to its nonzero coefficient mod p.  A reducer is
-    monic, largest term first, with `lm` and `top`, its fieldwise max."""
+    """An unsorted polynomial: `terms` maps each monomial, an int of
+    `packing`, to its nonzero coefficient mod p.  A reducer is monic,
+    largest term first, with `lm` and `top`, its fieldwise max."""
 
     __slots__ = ("ring", "terms", "packing", "lm", "top")
 
-    def __init__(self, ring: PolynomialRing, terms: dict, packing=None):
+    def __init__(self, ring: PolynomialRing, terms: dict, packing: _Packing):
         self.ring, self.terms, self.packing = ring, terms, packing
 
     def polynomial(self) -> Polynomial:
@@ -130,7 +130,8 @@ class _Reducers:
         return self.polys[-1]
 
     def reducer(self, g) -> _TermDict:
-        """g, as add takes it, made a reducer but not appended."""
+        """g, as add takes it, made a reducer but not appended: the one place
+        the kernel makes a polynomial monic."""
         if isinstance(g, _TermDict):
             terms = g.terms
         elif self.ring.owns(g):
@@ -169,18 +170,19 @@ class _Reducers:
 def normal_form(f, basis):
     """Fully reduce f modulo `basis`, a polynomial list or a _Reducers.
 
-    f is a Polynomial or an S-polynomial made by s_polynomial; if f is
-    packed by the basis's packing, so is the remainder.  Every reducible
-    term is rewritten by the first basis element (in the given fixed order)
-    whose leading term divides it, largest terms first, so no term of the
-    remainder is divisible by a leading term of the basis."""
+    f is a Polynomial, or a _TermDict of the basis's own packing, such as
+    an S-polynomial made by s_polynomial; the remainder is of the same
+    kind.  Every reducible term is rewritten by the first basis element (in
+    the given fixed order) whose leading term divides it, largest terms
+    first, so no term of the remainder is divisible by a leading term of
+    the basis."""
     ring = f.ring
     if not isinstance(basis, _Reducers):
         basis = _Reducers(ring, basis)
     elif not basis.ring.owns(f):
         raise InputError("operands live in different rings")
     packing = basis.packing
-    packed = isinstance(f, _TermDict) and f.packing is packing
+    packed = isinstance(f, _TermDict)
     if packed and not f.terms:
         return f
     work = dict(f.terms) if packed else basis.pack(f.terms)
@@ -215,32 +217,26 @@ def normal_form(f, basis):
 
 
 def s_polynomial(f, g):
-    """S(f, g) for the pair's critical lcm; operands need not be monic.
+    """S(f, g) for the critical lcm of two reducers of one _Reducers.
 
-    It is the unsorted term dict normal_form starts from.  Of Polynomials it
-    has exponent tuples; pass its `terms.items()` to Polynomial for a sorted
-    one.  Of two reducers it is packed: _buchberger keeps it in range."""
-    ring, packed, k = f.ring, isinstance(f, _TermDict), 1
-    if not packed:
-        f._check(g)
-        k = f.lc * g.lc  # S(f, g) = k S(f / lc(f), g / lc(g))
-        f, g = _Reducers(ring, (f, g)).polys
-    elif len(f.terms) == len(g.terms) == 1:
-        return _TermDict(ring, {}, f.packing)  # two monic monomials cancel
-    p, packing = ring.p, f.packing
+    Both are monic, so S(f, g) is x^(lcm - lm f) f - x^(lcm - lm g) g, as
+    the unsorted packed term dict normal_form starts from; _buchberger
+    keeps its monomials in range."""
+    ring, packing = f.ring, f.packing
+    if len(f.terms) == len(g.terms) == 1:
+        return _TermDict(ring, {}, packing)  # two monic monomials cancel
+    p = ring.p
     lcm = packing.weigh(packing.fieldmax(f.lm, g.lm) & packing.exps)
     sf, sg = lcm - f.lm, lcm - g.lm
-    terms = {m + sf: c * k % p for m, c in f.terms.items()}
+    terms = {m + sf: c for m, c in f.terms.items()}
     for m, c in g.terms.items():
         m += sg
-        v = (terms.get(m, 0) - c * k) % p
+        v = (terms.get(m, 0) - c) % p
         if v:
             terms[m] = v
         else:
             del terms[m]  # the leading terms cancel
-    if packed:
-        return _TermDict(ring, terms, packing)
-    return _TermDict(ring, {packing.unpack(m): c for m, c in terms.items()})
+    return _TermDict(ring, terms, packing)
 
 
 class GroebnerBasis:
@@ -262,8 +258,6 @@ class GroebnerBasis:
         return tuple(g.lm for g in self.elements)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
-        if not self.elements and self.ring.owns(f):
-            return f  # nothing to reduce by; normal_form checks f's ring
         if self._index is None:
             self._index = _Reducers(self.ring, self.elements)
         return normal_form(f, self._index)

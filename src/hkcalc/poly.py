@@ -87,12 +87,6 @@ class Polynomial:
             raise InputError("zero polynomial has no leading term")
         return self.terms[0][0]
 
-    @property
-    def lc(self) -> int:
-        if not self.terms:
-            raise InputError("zero polynomial has no leading term")
-        return self.terms[0][1]
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(m) for m, _ in self.terms), default=-1)
@@ -115,10 +109,7 @@ class Polynomial:
         return Polynomial(self.ring, self.terms + other.terms)
 
     def __sub__(self, other):
-        self._check(other)
-        p = self.ring.p
-        neg = tuple((m, p - c) for m, c in other.terms)
-        return Polynomial(self.ring, self.terms + neg)
+        return self + -other
 
     def __neg__(self):
         p = self.ring.p
@@ -133,14 +124,6 @@ class Polynomial:
                 m = mono_mul(mu, mv)
                 acc[m] = (acc.get(m, 0) + cu * cv) % p
         return Polynomial(self.ring, acc.items())
-
-    def scale(self, c: int):
-        p = self.ring.p
-        c %= p
-        if not c:
-            return Polynomial._canonical(self.ring, ())
-        # p is prime, so no product of nonzero residues vanishes.
-        return Polynomial._canonical(self.ring, tuple((m, co * c % p) for m, co in self.terms))
 
     def __pow__(self, k: int):
         """f^k as the product of (f^k_i)^(p^i) over the base-p digits k_i of k.
@@ -170,11 +153,6 @@ class Polynomial:
             if not k:
                 return result
             base = base * base
-
-    def monic(self):
-        if self.is_zero() or self.terms[0][1] == 1:
-            return self
-        return self.scale(pow(self.lc, -1, self.ring.p))
 
     def frobenius(self, q: int):
         """f^q for q a power of p, by exponent scaling.

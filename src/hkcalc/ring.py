@@ -39,9 +39,6 @@ class PolynomialRing:
 
     # -- element constructors -------------------------------------------------
 
-    def zero(self) -> Polynomial:
-        return Polynomial(self, ())
-
     def one(self) -> Polynomial:
         return self.constant(1)
 
@@ -119,9 +116,6 @@ class PresentedRing:
         return self.ambient.nvars
 
     # -- element constructors: polynomials of the ambient ring ----------------
-
-    def zero(self) -> Polynomial:
-        return self.ambient.zero()
 
     def one(self) -> Polynomial:
         return self.ambient.one()

@@ -27,6 +27,15 @@ def random_poly(rng, ring, max_terms=5, max_exp=4):
     return ring.poly(terms)
 
 
+def s_poly(f, g):
+    """S(f, g) by Polynomial arithmetic: with L the lcm of the leading
+    monomials, lc(g) * (L / lm f) * f - lc(f) * (L / lm g) * g."""
+    ring, lcm = f.ring, tuple(map(max, f.lm, g.lm))
+    shift_f = ring.poly([(tuple(a - b for a, b in zip(lcm, f.lm)), g.terms[0][1])])
+    shift_g = ring.poly([(tuple(a - b for a, b in zip(lcm, g.lm)), f.terms[0][1])])
+    return shift_f * f - shift_g * g
+
+
 def session_text(session):
     """Canonical DSL rendering of a parsed session; reparsing it yields an
     identical session."""

@@ -203,6 +203,7 @@ def test_actions_reject_flags_they_do_not_read(capsys, session_file, argv):
         (QUADRIC, ["lemma21", "--ideal", "I2", "--ideal-j", "m", "--q", "6"]),
         (QUADRIC, ["thm33", "--prime", "P", "--param", "f", "--q", "5,6"]),
         ("char 5\nvars x y\nideal m = x, y\n", ["flatness", "--ideal", "m", "--q", "6"]),
+        (QUADRIC, ["flatness", "--ideal", "m", "--q", "6"]),
     ],
 )
 def test_check_q_not_a_power_of_p(capsys, tmp_path, session, argv):

@@ -4,6 +4,7 @@ import pytest
 
 from hkcalc import InputError, MonomialOrder, PolynomialRing
 from hkcalc.field import characteristic, is_prime
+from hkcalc.groebner import _Reducers
 from helpers import polynomial_ring_of
 
 
@@ -30,14 +31,17 @@ def test_constructor_rejects_bad_characteristic():
 
 
 def test_arithmetic_random():
-    """monic divides by the leading coefficient's inverse mod p."""
+    """A reducer is its polynomial divided by the leading coefficient's
+    inverse mod p."""
     rng = random.Random(7)
     for p in (2, 3, 5, 7, 101, 32749):
         ring = polynomial_ring_of(p, ("x",))
         for _ in range(200):
             a = rng.randrange(1, p)
             f = ring.poly([((1,), a), ((0,), rng.randrange(p))])
-            assert f.monic().lc == 1 and f.monic().scale(a) == f
+            (h,) = _Reducers(ring, [f]).polys
+            h = h.polynomial()
+            assert h.terms[0][1] == 1 and h * ring.constant(a) == f
 
 
 def test_equality_and_repr():

@@ -18,8 +18,8 @@ from hkcalc import (
     local_colength,
     maximal_ideal,
     quotient_length,
-    s_polynomial,
 )
+from hkcalc.groebner import s_polynomial
 from helpers import poly_of, ring_of
 from oracles import local_colength_truncated, staircase_enumeration_count
 

@@ -162,7 +162,7 @@ def _poly(text, ring):
 
 def test_polynomial_grammar():
     ring = ring_of(5, ("x", "y"))
-    assert _poly("-x + 2*y", ring) == -ring.var(0) + ring.var(1).scale(2)
+    assert _poly("-x + 2*y", ring) == -ring.var(0) + ring.var(1) * ring.constant(2)
     assert _poly("(x + y)^2", ring) == _poly("x^2 + 2*x*y + y^2", ring)
     assert _poly("x - - y", ring) == _poly("x + y", ring)
     assert _poly("7", ring) == ring.constant(2)
