@@ -7,8 +7,9 @@ pairs are dropped as each element is added, in one pass over the active
 elements (Gebauer-Moller update, J. Symb. Comp. 6, 1988).  Each term is
 reduced by the first element, in basis order, whose leading term divides
 it.  The elements left active are the minimal basis, whose tails alone are
-then reduced.  All tie-breaking is by fixed generator ordering, so results
-are bit-reproducible.
+then reduced.  This is the one way a reduced basis is computed, for
+monomial ideals too.  All tie-breaking is by fixed generator ordering, so
+results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -279,17 +280,6 @@ class GroebnerBasis:
         return "GroebnerBasis(%d elements)" % len(self.elements)
 
 
-def _minimal(ring, basis):
-    """The monic elements whose leading term no smaller one's divides, ascending.
-    Only monomial ideals need this; _buchberger's output is minimal."""
-    minimal = _Reducers(ring, packing=_Packing(ring, basis))
-    pack = minimal.packing.pack
-    for g in sorted(basis, key=lambda g: pack(g.lm)):
-        if minimal.find(pack(g.lm)) is None:
-            minimal.add(g)
-    return [g.polynomial() for g in minimal.polys]
-
-
 def _interreduce(basis):
     """Tail-reduce and unpack a minimal basis, _Reducers sorted ascending.
 
@@ -309,9 +299,10 @@ def _interreduce(basis):
 def groebner_basis(ring: PresentedRing, gens) -> GroebnerBasis:
     """Reduced Groebner basis of (gens) + (ring relations), cached on the ring.
 
-    Raises ResourceLimitError once more than SPAIR_CAP S-pairs have been
-    generated.  A cached basis generates no S-pairs, so the cap does not
-    apply to it.
+    Every basis, a monomial ideal's included, is built one way: _buchberger,
+    then _interreduce.  Raises ResourceLimitError once more than SPAIR_CAP
+    S-pairs have been generated.  A cached basis generates no S-pairs, so
+    the cap does not apply to it.
     """
     ambient = ring.ambient
     gens = [g for g in gens if not g.is_zero()]
@@ -322,13 +313,7 @@ def groebner_basis(ring: PresentedRing, gens) -> GroebnerBasis:
     hit = ring._bases.get(cache_key)
     if hit is not None:
         return hit
-    gens = gens + list(ring.relations)
-    if all(g.is_monomial() for g in gens):
-        # The minimal generators of a monomial ideal, made monic, are its
-        # reduced basis: no tail can be reduced.
-        elements = _minimal(ambient, gens)
-    else:
-        elements = _interreduce(_buchberger(ambient, gens))
+    elements = _interreduce(_buchberger(ambient, gens + list(ring.relations)))
     # The bases cached on a ring share many elements (the rungs of a ladder
     # do), so they share one copy of each.
     shared = ring._elements

@@ -2,13 +2,14 @@
 Hilbert-Samuel multiplicity of a parameter on a one-dimensional quotient.
 
 The global (affine) colength counts standard monomials of the leading-term
-ideal: in closed form for one and two variables, in one sweep with an
-incrementally updated planar staircase for three, and by slicing down to
-that sweep for more.  The local quantities, at the origin, read one local
-leading ideal, found by Lazard's homogenization (Greuel-Pfister, A Singular
-Introduction to Commutative Algebra, 1.7): the local colength counts its
-standard monomials, and the local ring has its dimension.  Graded ideals
-skip the homogenization, as their reduced basis gives the same values.  So
+ideal, which monomial input is itself, so that needs no basis: in closed
+form for one and two variables, in one sweep with an incrementally updated
+planar staircase for three, and by slicing down to that sweep for more.
+The local quantities, at the origin, read one local leading ideal, found by
+Lazard's homogenization (Greuel-Pfister, A Singular Introduction to
+Commutative Algebra, 1.7): the local colength counts its standard
+monomials, and the local ring has its dimension.  Graded ideals skip the
+homogenization, as their global leading ideal gives the same values.  So
 does input holding a pure power of every variable: its quotient lives at
 the origin alone, so it is local already, and its global leading ideal has
 as many standard monomials as the local one and gives dimension 0
@@ -125,6 +126,7 @@ def count_standard_monomials(lead_monomials, nvars: int):
     variables are sliced along the variable with the fewest distinct
     exponents; each slab between consecutive exponents is a staircase in
     one variable fewer, counted recursively down to the sweep.
+    Dominated and repeated generators are accepted and change nothing.
     """
     monos = {tuple(m) for m in lead_monomials}
     if (0,) * nvars in monos:
@@ -157,11 +159,21 @@ def _count(gens, k):
     return value
 
 
-# -- the local leading ideal and dimension ------------------------------------
+# -- the leading ideals and dimension -----------------------------------------
+
+
+def _leading_monomials(I: Ideal):
+    """Monomials generating the global leading ideal of relations + I: the
+    generators and relations themselves when each is a monomial, with no
+    basis built, else the leading monomials of I's reduced basis."""
+    gens = I.ring.relations + I.generators
+    if all(len(g.terms) == 1 for g in gens):
+        return [g.terms[0][0] for g in gens]
+    return I.gb().leading_monomials
 
 
 def _global_basis_suffices(I: Ideal) -> bool:
-    """True when the reduced basis of I gives the local values at the origin.
+    """True when the global leading ideal of I gives the local values at the origin.
 
     Either the ring's relations and I are generated by forms, or together
     they hold a pure power of every variable (a constant counts for all).
@@ -215,13 +227,13 @@ def dimension(I: Ideal) -> int:
     That of the tangent cone, whose leading ideal is the local leading
     ideal: the largest size of a variable subset S such that no leading
     monomial is supported entirely inside S; exhaustive over subsets.
-    Where the global basis suffices, the leading ideal of I's reduced basis
-    stands in for the local one.  For input with pure powers that is a
-    global leading ideal, but it gives dimension 0 as the local one does.
+    Where the global basis suffices, the global leading ideal, which
+    monomial input is itself, stands in for the local one.  For input with
+    pure powers it gives dimension 0 as the local one does.
     """
     n = I.ring.nvars
     if _global_basis_suffices(I):
-        leading = I.gb().leading_monomials
+        leading = _leading_monomials(I)
     else:
         leading = _lazard_leading_monomials(I)
     supports = [frozenset(i for i in range(n) if m[i]) for m in leading]
@@ -239,9 +251,9 @@ def dimension(I: Ideal) -> int:
 
 
 def colength(I: Ideal):
-    """lambda of ring/(relations + I) in the affine (global) sense."""
-    gb = I.gb()
-    return count_standard_monomials(gb.leading_monomials, I.ring.nvars)
+    """lambda of ring/(relations + I) in the affine (global) sense: the
+    standard monomials of its leading ideal, which monomial input is itself."""
+    return count_standard_monomials(_leading_monomials(I), I.ring.nvars)
 
 
 def local_colength(I: Ideal):

@@ -95,9 +95,6 @@ class Polynomial:
         degs = {sum(m) for m, _ in self.terms}
         return len(degs) <= 1
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def _check(self, other):
         if not isinstance(other, Polynomial) or not self.ring.owns(other):
             raise InputError("operands live in different rings")

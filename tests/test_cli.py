@@ -346,6 +346,23 @@ def test_spair_cap_scoped_to_one_call(capsys, tmp_path):
     assert code == 0 and json.loads(out)["basis"]
 
 
+def test_spair_cap_binds_every_basis_built(capsys, tmp_path):
+    """A monomial ideal's basis is built by Buchberger like any other, so the
+    cap binds gb on it; its lengths and dimension build no basis."""
+    path = tmp_path / "monomial.hk"
+    path.write_text("char 5\nvars x y z\nideal m = x^2, y^3, z, x*y\n")
+    code, out, err = _run(capsys, ["gb", "--in", str(path), "--ideal", "m", "--spair-cap", "2"])
+    assert (code, out) == (3, "") and "resource limit" in err
+    assert "S-pair cap of 2 exceeded" in err
+    for verb, field, value in [
+        ("colength", "colength", 4),
+        ("local-colength", "local_colength", 4),
+        ("dim", "dimension", 0),
+    ]:
+        code, out, _ = _run(capsys, [verb, "--in", str(path), "--ideal", "m", "--spair-cap", "2"])
+        assert code == 0 and json.loads(out)[field] == value, verb
+
+
 def test_exit_code_certification(capsys, tmp_path):
     path = tmp_path / "not_prime.hk"
     path.write_text(NOT_PRIME)

@@ -41,11 +41,25 @@ def test_lex_triangularization():
     assert rendered == ["y + 6*z", "x + 6*z^2"]
 
 
-def test_monomial_ideal_fast_path():
-    ring = ring_of(5, ("x", "y"))
-    basis = _gb(ring, ["x^3", "x*y", "x^2*y^4", "y^2"])
-    assert basis.leading_monomials == ((0, 2), (1, 1), (3, 0))
-    assert [g.is_monomial() for g in basis.elements] == [True, True, True]
+def test_monomial_ideal_basis():
+    """A monomial ideal's reduced basis, built by the one basis path, is its
+    minimal generators made monic, in every order kind; with a monomial
+    relation, and with repeated and dominated generators, it matches sympy."""
+    sympy = pytest.importorskip("sympy")
+    for kind in ORDER_KINDS:
+        ring = ring_of(5, ("x", "y"), kind=kind)
+        basis = _gb(ring, ["x^3", "x*y", "x^2*y^4", "y^2"])
+        assert basis.leading_monomials == ((0, 2), (1, 1), (3, 0))
+        assert [len(g.terms) for g in basis.elements] == [1, 1, 1]
+        for names, relations, texts in [
+            ("xyz", ("x*y",), ["x^3", "y^2*z", "z^4", "x*z^2"]),
+            ("xyz", (), ["x^2", "x^2", "3*x^3*y", "y^3", "2*x*y^2*z", "y^3*z", "z^2"]),
+            ("wxyz", ("w*x",), ["w^2", "2*x^2", "x^2*y", "y^3", "z", "y*z^2", "y^3"]),
+        ]:
+            ring = ring_of(5, names, kind=kind, relations=relations)
+            gens = [poly_of(ring, t) for t in texts]
+            assert all(len(g.terms) == 1 for g in groebner_basis(ring, gens).elements)
+            _assert_basis_matches_sympy(sympy, ring, gens)
 
 
 def test_normal_form_properties():

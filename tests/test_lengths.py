@@ -585,3 +585,47 @@ def test_pure_powers_read_local_values_from_the_global_basis():
         assert ring._homogenizing is None, I
     assert seen == {0, 1, 2}
 
+
+# (variables, relations, generators, dimension); colength and local colength
+# are INFINITE exactly when the dimension is positive, and 0 for a unit.
+_MONOMIAL_CASES = [
+    ("xy", ("x*y",), ["x^3", "y^2"], 0),
+    ("xy", (), ["x^2", "x^2", "x^3*y", "2*x*y", "y^4", "3*y^5"], 0),
+    ("xy", (), ["x^2", "3", "y"], None),
+    ("xy", (), ["x^2*y", "x*y^3"], 1),
+    ("xyz", ("x*y",), ["x^2", "y^3", "z^2", "x*z"], 0),
+    ("xyz", (), ["x^2", "y^2*z", "y^3", "z^3", "x*y*z", "x^2*z", "y^3"], 0),
+    ("xyz", ("x*y",), ["x", "1"], None),
+    ("xyz", ("x*y",), ["z"], 1),
+    ("wxyz", ("x*y",), ["w^2", "x^2", "y", "z^3", "w*z"], 0),
+    ("wxyz", (), ["w^2", "w^3", "x^2", "w*x", "y^2", "4*x*y^2", "z^2", "z^2"], 0),
+    ("wxyz", (), ["w", "x^2", "2", "y*z"], None),
+    ("wxyz", ("w*x",), ["y^2", "z"], 1),
+]
+
+
+@pytest.mark.parametrize("names, relations, texts, dim", _MONOMIAL_CASES)
+def test_lengths_of_monomial_input_build_no_basis(names, relations, texts, dim):
+    """Monomial input is its own leading ideal: its colength, local colength
+    and dimension read its generators and relations, dominated and repeated
+    ones included, and build no basis.  The colength is the brute-force
+    count of the box below the least pure powers, and the basis built
+    afterwards gives the same count."""
+    ring = ring_of(5, names, relations=relations)
+    I = _ideal(ring, texts)
+    value = colength(I)
+    assert local_colength(I) == value
+    if dim is None:
+        with pytest.raises(InputError, match="empty at the origin"):
+            dimension(I)
+    else:
+        assert dimension(I) == dim
+    assert ring._bases == {} and ring._homogenizing is None
+    monos = [g.lm for g in I.generators + ring.relations]
+    if dim:
+        assert value is INFINITE
+    else:
+        bounds = [min(m[i] for m in monos if m[i] == sum(m)) for i in range(ring.nvars)]
+        assert value == staircase_enumeration_count(monos, bounds)
+        assert (value == 0) == (dim is None)
+    assert count_standard_monomials(I.gb().leading_monomials, ring.nvars) == value
