@@ -10,6 +10,10 @@ it.  The elements left active are the minimal basis, whose tails alone are
 then reduced.  This is the one way a reduced basis is computed, for
 monomial ideals too.  All tie-breaking is by fixed generator ordering, so
 results are bit-reproducible.
+
+normal_form(f, polys) is the one reduction, inside Buchberger and out.  A
+GroebnerBasis holds no reducer of its own: reduced bases are canonical, so
+an ideal contains another exactly when their sum has the same basis.
 """
 
 from __future__ import annotations
@@ -247,24 +251,15 @@ class GroebnerBasis:
     ring that caches it, so a cached basis does not refer back to its cache.
     """
 
-    __slots__ = ("ring", "elements", "_index")
+    __slots__ = ("ring", "elements")
 
     def __init__(self, ring: PolynomialRing, elements):
         self.ring = ring
         self.elements = tuple(elements)
-        self._index = None  # built on the first normal_form: bases only counted hold none
 
     @property
     def leading_monomials(self):
         return tuple(g.lm for g in self.elements)
-
-    def normal_form(self, f: Polynomial) -> Polynomial:
-        if self._index is None:
-            self._index = _Reducers(self.ring, self.elements)
-        return normal_form(f, self._index)
-
-    def contains(self, f: Polynomial) -> bool:
-        return self.normal_form(f).is_zero()
 
     def __eq__(self, other) -> bool:
         return (
@@ -272,9 +267,6 @@ class GroebnerBasis:
             and self.ring == other.ring
             and tuple(g.terms for g in self.elements) == tuple(g.terms for g in other.elements)
         )
-
-    def __hash__(self) -> int:
-        return hash(tuple(g.terms for g in self.elements))
 
     def __repr__(self) -> str:
         return "GroebnerBasis(%d elements)" % len(self.elements)

@@ -2,6 +2,8 @@
 
 Every constructor returns a fresh Ideal; the reduced Groebner basis (with
 the ring's relations adjoined) is computed lazily and cached on the ring.
+An Ideal tests no membership: reduced bases are canonical, so I contains J
+exactly when (I + J).gb() == I.gb().
 """
 
 from __future__ import annotations
@@ -29,16 +31,6 @@ class Ideal:
             self._gb = groebner_basis(self.ring, self.generators)
         return self._gb
 
-    def contains_ideal(self, other: "Ideal") -> bool:
-        """True iff every generator of `other` lies in this ideal."""
-        self._check(other)
-        gb = self.gb()
-        return all(gb.contains(g) for g in other.generators)
-
-    def _check(self, other):
-        if not isinstance(other, Ideal) or other.ring != self.ring:
-            raise InputError("ideals live in different rings")
-
     # -- constructors ---------------------------------------------------------
 
     def bracket_power(self, q: int) -> "Ideal":
@@ -52,7 +44,8 @@ class Ideal:
         return Ideal(self.ring, [g.frobenius(q) for g in self.generators])
 
     def __add__(self, other) -> "Ideal":
-        self._check(other)
+        if not isinstance(other, Ideal) or other.ring != self.ring:
+            raise InputError("ideals live in different rings")
         return Ideal(self.ring, self.generators + other.generators)
 
     def __repr__(self) -> str:

@@ -15,6 +15,8 @@ the origin alone, so it is local already, and its global leading ideal has
 as many standard monomials as the local one and gives dimension 0
 (Cox-Little-O'Shea, Using Algebraic Geometry, 4.2).  dimension and
 local_colength each decide once per call which of the two routes to take.
+quotient_length tests I in J at the origin from local colengths too, and
+tests no membership.
 """
 
 from __future__ import annotations
@@ -271,13 +273,21 @@ def local_colength(I: Ideal):
 
 
 def quotient_length(I: Ideal, J: Ideal):
-    """lambda(J/I) for I contained in J, over the localization at the origin."""
-    if not J.contains_ideal(I):
-        raise InputError("quotient_length requires I to be contained in J")
+    """lambda(J/I) = lambda(R/I) - lambda(R/J) over the localization at the
+    origin, for an m-primary I contained in J there.
+
+    I is tested to be m-primary first.  Containment is then read from
+    colengths: J is contained in I + J, so with lambda(R/I) finite,
+    lambda(R/(I + J)) equals lambda(R/J) exactly when I is contained in J
+    at the origin.  No membership is tested, so monomial input builds no
+    basis.
+    """
     li = local_colength(I)
     if li is INFINITE:
         raise InputError("quotient_length requires the small ideal to be m-primary")
     lj = local_colength(J)
+    if local_colength(I + J) != lj:
+        raise InputError("quotient_length requires I to be contained in J")
     return li - lj
 
 

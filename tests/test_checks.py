@@ -15,6 +15,7 @@ from hkcalc import (
     check_thm23,
     check_thm33,
     hilbert_samuel,
+    quotient_length,
 )
 from hkcalc import cli
 from hkcalc.checks import EHK_TOLERANCE
@@ -99,6 +100,19 @@ def test_lemma21_containment_enforced():
     ring = ring_of(5, ("x", "y"))
     with pytest.raises(InputError):
         check_lemma21(_ideal(ring, ["x"]), _ideal(ring, ["y"]), [5])
+
+
+def test_lemma21_of_monomial_input_builds_no_basis():
+    """Containment is read from local colengths, so monomial I in J builds
+    no basis, in quotient_length or in the check."""
+    ring = ring_of(5, ("x", "y"))
+    I, J = _ideal(ring, ["x^3", "x*y", "y^2"]), _ideal(ring, ["x^2", "y"])
+    assert quotient_length(I, J) == 2
+    with pytest.raises(InputError, match="contained"):
+        quotient_length(J, I)
+    report = check_lemma21(I, J, [5])
+    assert (report.verdict, report.quantities["lambda_J_mod_I"]) == ("PASS", 2)
+    assert ring._bases == {} and ring._homogenizing is None
 
 
 def test_thm23_quadric():

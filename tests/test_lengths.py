@@ -466,6 +466,15 @@ def test_quotient_length():
         quotient_length(_ideal(ring, ["x"]), J)  # not m-primary
     # m-primary at the origin, although the line y = 1 lies on its variety.
     assert quotient_length(_ideal(ring, ["x*y - x", "y^3 - y^2"]), J) == 1
+    # Contained at the origin only: x^2 is not in (x^2 - x, y), but x - 1 is
+    # a unit there, so that ideal is (x, y) at the origin.
+    I, J = _ideal(ring, ["x^2", "y"]), _ideal(ring, ["x^2 - x", "y"])
+    assert quotient_length(I, J) == 1
+    with pytest.raises(InputError, match="contained"):
+        quotient_length(J, I)
+    # Neither m-primary nor contained: the m-primary test comes first.
+    with pytest.raises(InputError, match="m-primary"):
+        quotient_length(_ideal(ring, ["x"]), _ideal(ring, ["y"]))
 
 
 def test_hilbert_samuel_basic():

@@ -206,7 +206,7 @@ def _assert_canonical(h):
 
 
 def test_kernel_results_are_canonical():
-    """normal_form, GroebnerBasis.normal_form and frobenius build their
+    """normal_form, by a list or by a reduced basis, and frobenius build their
     results without the checking constructor; each must still be strictly
     descending in the ring's order, with coefficients in 1..p-1.  The
     S-polynomials reduced here are built by Polynomial arithmetic."""
@@ -220,7 +220,7 @@ def test_kernel_results_are_canonical():
                 f = random_poly(rng, ring, max_terms=6, max_exp=4)
                 _assert_canonical(normal_form(f, basis))
                 gb = groebner_basis(ring, basis)
-                _assert_canonical(gb.normal_form(f))
+                _assert_canonical(normal_form(f, gb.elements))
                 if len(basis) == 2:
                     _assert_canonical(normal_form(s_poly(*basis), basis))
                 for q in (1, p, p * p):
