@@ -14,8 +14,10 @@ only the flags it reads: argparse rejects any other flag and names a
 missing one.  flatness takes one --q; corpus run one of --all and --id;
 corpus list no --spair-cap.
 corpus run runs its fixtures in up to as many processes as there are CPUs
-in its affinity mask; its output is byte for byte that of a serial run,
-which `taskset -c 0 hkcalc corpus run --all` gives.
+in its affinity mask, and uses their results only if every process returns
+all of its own; on any failure it runs every fixture again in this
+process, in order.  So its output, error and exit code are byte for byte
+those of a serial run, which `taskset -c 0 hkcalc corpus run --all` gives.
 Exit codes: 0 success/PASS, 1 a check FAILED, 2 input error (an unreadable
 or undecodable session file included) or a check INAPPLICABLE (thm33
 included, when x is not a parameter on R/P), 3 resource limit,
@@ -219,18 +221,14 @@ def _cpus():
 
 
 def _helper(fixtures, seed, write_end):
-    """Run fixtures in a forked helper and write their results, up to the
-    first that raises, to write_end as JSON, encoded by _jsonable as the
-    caller's own results are when printed.  Ends with os._exit: it never
-    returns into its caller's stack nor flushes the stdio it inherited."""
+    """Run fixtures in a forked helper and write all their results to
+    write_end as JSON, encoded by _jsonable as the caller's own results are
+    when printed; a fixture that raises ends it with code 1, having sent
+    nothing.  Ends with os._exit: it never returns into its caller's stack
+    nor flushes the stdio it inherited."""
     code = 1
     try:
-        results = []
-        try:
-            for fixture in fixtures:
-                results.append(_jsonable(fixture.run(seed=seed)))
-        except Exception:
-            pass  # the parent runs this fixture again and raises its error
+        results = [_jsonable(fixture.run(seed=seed)) for fixture in fixtures]
         with open(write_end, "w", encoding="utf-8") as out:
             json.dump(results, out)
         code = 0
@@ -239,8 +237,8 @@ def _helper(fixtures, seed, write_end):
 
 
 def _collect(pid, read_end):
-    """Reap a helper; return the results it sent, or none unless it exited
-    0 and its JSON parses."""
+    """Reap a helper; return the results it sent, or None unless it exited
+    0 and its JSON parses (it may exit 0 before it writes)."""
     chunks = []
     try:
         while chunk := os.read(read_end, 1 << 16):
@@ -249,9 +247,9 @@ def _collect(pid, read_end):
         os.close(read_end)
         status = os.waitpid(pid, 0)[1]
     try:
-        return json.loads(b"".join(chunks)) if status == 0 else []
+        return json.loads(b"".join(chunks)) if status == 0 else None
     except ValueError:
-        return []
+        return None
 
 
 def _run_fixtures(fixtures, seed):
@@ -260,14 +258,15 @@ def _run_fixtures(fixtures, seed):
     Fixture k runs in process k mod n, where n is the smaller of the CPUs
     this process may use and the number of fixtures.  Process 0 is this one;
     the others are forked helpers, so the caller runs no other thread (the
-    CLI starts none).  A fixture left without a result (it raised, or its
-    helper died) runs again here, in fixture order, so the first error in
-    fixture order is the one raised.
+    CLI starts none).  Their results are used only if every process returns
+    those of all its fixtures.  If a fork fails, a fixture raises here or a
+    helper sends nothing, all are dropped and every fixture runs again
+    here, in fixture order, so the first error in fixture order is the one
+    raised.
     """
     n = min(_cpus(), len(fixtures))
-    results = [None] * len(fixtures)
-    error_at, error = len(fixtures), None
-    helpers = []  # (index of its first fixture, pid, read end of its pipe)
+    mine = None  # this process's results, once all its fixtures have run
+    helpers = []  # (pid, read end of its pipe)
     try:
         for first in range(1, n):
             read_end, write_end = os.pipe()
@@ -278,26 +277,19 @@ def _run_fixtures(fixtures, seed):
             if pid == 0:
                 _helper(fixtures[first::n], seed, write_end)
             os.close(write_end)
-            if pid is None:  # no helper: its fixtures run here, below
+            if pid is None:
                 os.close(read_end)
                 break
-            helpers.append((first, pid, read_end))
-        for k in range(0, len(fixtures), n):
-            try:
-                results[k] = fixtures[k].run(seed=seed)
-            except Exception as exc:
-                error_at, error = k, exc
-                break
+            helpers.append((pid, read_end))
+        else:
+            mine = [fixture.run(seed=seed) for fixture in fixtures[::n]]
+    except Exception:
+        pass  # the serial run below raises the first error in fixture order
     finally:
-        for first, pid, read_end in helpers:
-            for k, result in zip(range(first, len(fixtures), n), _collect(pid, read_end)):
-                results[k] = result
-    for k, fixture in enumerate(fixtures):
-        if k == error_at:
-            raise error
-        if results[k] is None:
-            results[k] = fixture.run(seed=seed)
-    return results
+        stripes = [mine] + [_collect(pid, read_end) for pid, read_end in helpers]
+    if None in stripes:
+        return [fixture.run(seed=seed) for fixture in fixtures]
+    return [stripes[k % n][k // n] for k in range(len(fixtures))]
 
 
 def _cmd_corpus_run(args):

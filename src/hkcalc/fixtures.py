@@ -1,7 +1,7 @@
 """The built-in fixture corpus.
 
 Each fixture bundles a session, the checks to run, and expected results
-tagged with provenance (PAPER / TRIVIAL / DERIVED).  Randomized fixtures
+tagged with provenance (PAPER or TRIVIAL).  Randomized fixtures
 derive everything from the given seed, so runs are reproducible.
 """
 

@@ -184,8 +184,6 @@ def normal_form(f, basis):
     ring = f.ring
     if not isinstance(basis, _Reducers):
         basis = _Reducers(ring, basis)
-    elif not basis.ring.owns(f):
-        raise InputError("operands live in different rings")
     packing = basis.packing
     packed = isinstance(f, _TermDict)
     if packed and not f.terms:
@@ -301,7 +299,7 @@ def groebner_basis(ring: PresentedRing, gens) -> GroebnerBasis:
     for g in gens:
         if not ambient.owns(g):
             raise InputError("generator lives in a different ring")
-    cache_key = tuple(sorted(g.terms for g in gens))
+    cache_key = tuple(sorted({g.terms for g in gens}))
     hit = ring._bases.get(cache_key)
     if hit is not None:
         return hit

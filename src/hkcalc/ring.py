@@ -95,7 +95,7 @@ class PresentedRing:
                 raise InputError("zero relation is not allowed")
             if rel.constant_term() != 0:
                 raise InputError("relation has nonzero constant term")
-        self._bases = {}  # sorted generator terms -> reduced GroebnerBasis
+        self._bases = {}  # sorted set of generator terms -> reduced GroebnerBasis
         self._elements = {}  # terms -> the one element of _bases with them
         self._homogenizing = None  # built by lengths for the first Lazard route
 

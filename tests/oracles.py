@@ -5,9 +5,10 @@ Colengths of homogeneous ideals come from per-degree rank computations:
 dense numpy elimination mod p in general, or a weighted union-find when
 every row has at most two nonzero entries (monomial generators, binomial
 relations).  Local colengths of non-homogeneous ideals come from one rank
-computation modulo a power of the maximal ideal.  Monomial staircases are
-also counted by brute-force enumeration, and the Frobenius colengths of the
-cones xy - z^n by a lattice count in their monoid rings.
+computation modulo a power m^N of the maximal ideal, which also gives the
+local Hilbert-Samuel function k -> dim R/(I + m^k) up to N.  Monomial
+staircases are also counted by brute-force enumeration, and the Frobenius
+colengths of the cones xy - z^n by a lattice count in their monoid rings.
 """
 
 import numpy as np
@@ -60,13 +61,17 @@ def cone_frobenius_colength(n, q):
     return int(np.count_nonzero(outside))
 
 
-def _rank_mod_p(rows, ncols, p):
+def _pivots_mod_p(rows, ncols, p):
+    """The pivot columns of rows mod p, ascending.  Elimination takes the
+    columns in order, so the pivots among the first k columns are as many
+    as the rank of those columns."""
+    pivots = []
     if not rows:
-        return 0
+        return pivots
     A = np.array(rows, dtype=np.int64) % p
-    rank = 0
     nrows = A.shape[0]
     for col in range(ncols):
+        rank = len(pivots)
         pivot = None
         for i in range(rank, nrows):
             if A[i, col]:
@@ -77,24 +82,25 @@ def _rank_mod_p(rows, ncols, p):
         if pivot != rank:
             A[[rank, pivot]] = A[[pivot, rank]]
         A[rank] = A[rank] * pow(int(A[rank, col]), -1, p) % p
-        column = A[:, col].copy()
-        column[rank] = 0
-        A = (A - np.outer(column, A[rank])) % p
-        rank += 1
-        if rank == nrows:
+        # Row echelon form is enough for ranks: clear the column below.
+        below = A[rank + 1 :]
+        hit = below[:, col] != 0
+        below[hit] = (below[hit] - np.outer(below[hit, col], A[rank])) % p
+        pivots.append(col)
+        if len(pivots) == nrows:
             break
-    return rank
+    return pivots
 
 
-def local_colength_truncated(p, nvars, gens_terms, N):
-    """dim F_p[x]/(I + m^N), the local colength at the origin once N >= it.
+def local_hilbert_samuel_function(p, nvars, gens_terms, N):
+    """[dim F_p[x]/(I + m^k) for k = 1 .. N], from one elimination.
 
     gens_terms is an iterable of term lists [(mono, coeff), ...].  Modulo
     m^N the ideal I + m^N is spanned by the products x^a * g with
-    |a| < N, truncated to degree < N; the quotient dimension is the number
-    of monomials of degree < N minus the rank of those rows.  A local ring
-    of length l has m^l = 0, so any N >= l (for example the global colength
-    plus one) gives the exact local colength.
+    |a| < N, truncated to degree < N.  The columns run in ascending degree.
+    Modulo m^k a product with |a| >= k vanishes, so I + m^k is spanned by
+    the rows cut to the columns of degree < k, whose rank is the number of
+    pivots among them.
     """
     monos = [m for d in range(N) for m in monomials_of_degree(nvars, d)]
     index = {m: i for i, m in enumerate(monos)}
@@ -108,7 +114,21 @@ def local_colength_truncated(p, nvars, gens_terms, N):
                     row[j] = (row[j] + coeff) % p
             if any(row):
                 rows.append(row)
-    return len(monos) - _rank_mod_p(rows, len(monos), p)
+    pivots = _pivots_mod_p(rows, len(monos), p)
+    values = []
+    for k in range(1, N + 1):
+        below = sum(1 for m in monos if sum(m) < k)
+        values.append(below - sum(1 for j in pivots if j < below))
+    return values
+
+
+def local_colength_truncated(p, nvars, gens_terms, N):
+    """dim F_p[x]/(I + m^N), the local colength at the origin once N >= it.
+
+    A local ring of length l has m^l = 0, so any N >= l (for example the
+    global colength plus one) gives the exact local colength.
+    """
+    return local_hilbert_samuel_function(p, nvars, gens_terms, N)[-1]
 
 
 def homogeneous_colength_dense(p, nvars, gens_terms, degree_cap=200):
@@ -139,7 +159,7 @@ def homogeneous_colength_dense(p, nvars, gens_terms, degree_cap=200):
                     j = index[tuple(a + b for a, b in zip(mono, shift))]
                     row[j] = (row[j] + coeff) % p
                 rows.append(row)
-        quotient = len(monos) - _rank_mod_p(rows, len(monos), p)
+        quotient = len(monos) - len(_pivots_mod_p(rows, len(monos), p))
         total += quotient
         if quotient == 0:
             return total

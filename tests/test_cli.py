@@ -1,6 +1,9 @@
+import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -9,6 +12,7 @@ import pytest
 from hkcalc import cli
 from hkcalc.checks import CheckReport
 from hkcalc.errors import InputError
+from hkcalc.fixtures import corpus
 from helpers import readme_block
 
 QUADRIC = """\
@@ -485,22 +489,26 @@ def test_runner_raises_first_error_in_fixture_order(tmp_path, monkeypatch):
     with pytest.raises(InputError, match="^fixture 3$"):
         cli._run_fixtures(fakes, 9)
     _no_child_left()
-    # The helper stops at its error; fixture 3 runs again here to raise it.
+    # Each process stops at its error; then fixtures 0-3 run again here,
+    # in order, and fixture 3 raises.
     assert _runs(log)[1] == [
-        (0, "parent"), (1, "helper"), (2, "parent"), (3, "helper"), (3, "parent"), (4, "parent"),
+        (0, "parent"), (0, "parent"), (1, "helper"), (1, "parent"), (2, "parent"),
+        (2, "parent"), (3, "helper"), (3, "parent"), (4, "parent"),
     ]
 
 
 @pytest.mark.parametrize("action, in_helper", [("exit0", [1]), ("exit1", [1]), ("exit-late", [1, 3])])
 def test_runner_reruns_fixtures_of_a_failed_helper(tmp_path, monkeypatch, action, in_helper):
     """A helper that exits before it sends JSON, with code 0 or not, or exits
-    non-zero after, gives no results: its fixtures run again here."""
+    non-zero after, gives no results: every fixture runs again here."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     fakes, log = _fakes(tmp_path, 5, at1=action)
     results = cli._run_fixtures(fakes, 9)
     _no_child_left()
     assert cli._jsonable(results) == cli._jsonable(_expected(5, 9))
-    expected = [(k, "parent") for k in range(5)] + [(k, "helper") for k in in_helper]
+    # This process runs its stripe 0, 2, 4, then every fixture again.
+    expected = [(k, "parent") for k in [0, 2, 4, 0, 1, 2, 3, 4]]
+    expected += [(k, "helper") for k in in_helper]
     assert _runs(log)[1] == sorted(expected)
 
 
@@ -513,6 +521,31 @@ def test_runner_runs_serially_when_fork_fails(tmp_path, monkeypatch):
     fakes, log = _fakes(tmp_path, 5)
     assert cli._jsonable(cli._run_fixtures(fakes, 9)) == cli._jsonable(_expected(5, 9))
     assert _runs(log)[1] == [(k, "parent") for k in range(5)]
+
+
+def test_corpus_run_error_is_that_of_a_serial_run(capsys, tmp_path, monkeypatch):
+    """A fixture that raises prints nothing on stdout, only the first error
+    in fixture order, and the exit code of its kind."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    fakes, _ = _fakes(tmp_path, 6, at3="raise", at4="raise")
+    monkeypatch.setattr(cli, "corpus", lambda: fakes)
+    assert _run(capsys, ["corpus", "run", "--all"]) == (2, "", "error: fixture 3\n")
+    _no_child_left()
+
+
+def test_python_m_hkcalc_lists_the_corpus():
+    """The package runs as a module: python -m hkcalc."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "hkcalc", "corpus", "list", "--format", "csv"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    rows = list(csv.reader(done.stdout.splitlines()))
+    assert rows[0] == ["fixture", "description"]
+    ids = [row[0] for row in rows[1:]]
+    assert ids == [f.fixture_id for f in corpus()] and len(set(ids)) == 15
 
 
 # -- golden output ------------------------------------------------------------

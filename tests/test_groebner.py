@@ -125,6 +125,17 @@ def test_bases_cached_per_ring():
     assert again is not basis and again == basis
 
 
+def test_bases_cached_by_the_set_of_generators():
+    """A repeated generator does not change the cache key, so P + P finds
+    P's basis."""
+    ring = ring_of(5, ("x", "y", "z"))
+    y, z = poly_of(ring, "y"), poly_of(ring, "z")
+    basis = Ideal(ring, [z, y]).gb()
+    with _spair_cap(1):
+        assert Ideal(ring, [y, z, y]).gb() is basis
+        assert (Ideal(ring, [y, z]) + Ideal(ring, [z, y])).gb() is basis
+
+
 def test_cached_bases_share_equal_elements():
     ring = ring_of(5, ("x", "y", "z"))
     one = _gb(ring, ["x^2 + y*z", "z^3"])

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -21,7 +22,11 @@ from hkcalc import (
 )
 from hkcalc.groebner import s_polynomial
 from helpers import poly_of, ring_of
-from oracles import local_colength_truncated, staircase_enumeration_count
+from oracles import (
+    local_colength_truncated,
+    local_hilbert_samuel_function,
+    staircase_enumeration_count,
+)
 
 
 def _ideal(ring, texts):
@@ -164,7 +169,8 @@ def _oracle_dimension(I, window=range(1, 9)):
     so its (d+1)-th is 0."""
     ring = I.ring
     gens_terms = [list(g.terms) for g in I.generators + ring.relations]
-    values = [local_colength_truncated(ring.p, ring.nvars, gens_terms, N) for N in window]
+    values = local_hilbert_samuel_function(ring.p, ring.nvars, gens_terms, window[-1])
+    values = values[window[0] - 1 :]
     d = 0
     while len(set(values)) > 1:
         values = [b - a for a, b in zip(values, values[1:])]
@@ -199,6 +205,84 @@ def test_dimension():
         dimension(_ideal(ring, ["x", "x + 1"]))  # unit ideal
     with pytest.raises(InputError):
         dimension(_ideal(ring_of(5, ("x", "y")), ["x - 1"]))  # a unit at the origin
+
+
+def _through_origin(rng, ring, top):
+    """Two or three random terms of degrees 1 .. top: no constant term, and
+    as a rule not graded."""
+    monos = [m for m in itertools.product(range(top + 1), repeat=ring.nvars) if 1 <= sum(m) <= top]
+    terms = rng.sample(monos, rng.randint(2, 3))
+    return ring.poly([(m, rng.randint(1, ring.p - 1)) for m in terms])
+
+
+SWEEP_RINGS = [
+    (("x", "y"), ()),
+    (("x", "y", "z"), ()),
+    (("x", "y", "z"), ("x*y - z^2",)),
+    (("x", "y", "z"), ("x*y - z^3",)),
+    (("x", "y", "z"), ("x*z - x",)),  # near the origin, x = 0
+]
+
+
+def test_dimension_vs_oracle_sweep():
+    """dimension on seeded draws of dimension 1 and 2 at the origin against
+    the degree of N -> lambda(R/(J + m^N)) from the truncation oracle, read
+    over N = 8..12 in two variables and 6..10 in three.
+
+    A draw is one generator through the origin, or two where the ring has
+    dimension 3.  In about three draws of five the last generator f gives
+    way to f * x_i^(a_i), one for each variable, which adds a component
+    embedded at the origin."""
+    rng = random.Random(11)
+    seen = set()
+    for trial in range(90):
+        names, relations = SWEEP_RINGS[trial % len(SWEEP_RINGS)]
+        ring = ring_of((2, 3, 5)[trial % 3], names, relations=relations)
+        n = ring.nvars
+        gens = [_through_origin(rng, ring, 3 if n == 2 else 2) for _ in range(rng.randint(1, 2))]
+        if n == 2 or relations:
+            gens = gens[:1]
+        embedded = rng.random() < 0.6
+        if embedded:
+            f = gens.pop()
+            gens += [f * ring.var(i, rng.randint(1, 2)) for i in range(n)]
+        J = Ideal(ring, gens)
+        d = dimension(J)
+        assert d == _oracle_dimension(J, range(8, 13) if n == 2 else range(6, 11)), (ring, J)
+        seen.add((d, embedded))
+    assert seen == {(d, e) for d in (1, 2) for e in (True, False)}
+
+
+def test_quotient_length_vs_oracle_sweep():
+    """quotient_length(I, J) on seeded pairs contained only at the origin,
+    against the difference of two oracle colengths.
+
+    I has a pure power x_i^(a_i) of each variable plus lower terms, so the
+    box of the a_i bounds its colength, and the oracle is read at N = that
+    box + 1.  K is I plus one
+    generator through the origin, and J = u * K for u a unit at the
+    origin: J = K there, so I lies in J, while I does not lie in J, nor in
+    (u), globally."""
+    rng = random.Random(12)
+    units = random.Random(13)
+    for trial in range(24):
+        names, relations = SWEEP_RINGS[trial % 3]
+        ring = ring_of((2, 3, 5)[trial // 3 % 3], names, relations=relations)
+        n = ring.nvars
+        degrees = [2] * n if n == 3 else [rng.randint(2, 3) for _ in range(n)]
+        I = _random_zero_dim_ideal(rng, ring, degrees)
+        u = _unit_at_origin(units, ring)
+        J = Ideal(ring, [k * u for k in I.generators + (_through_origin(rng, ring, 2),)])
+        assert (I + J).gb() != J.gb(), (I, J)
+        N = math.prod(degrees) + 1
+        lengths = []
+        for ideal in (I, J):
+            gens_terms = [list(g.terms) for g in ideal.generators + ring.relations]
+            lengths.append(local_colength_truncated(ring.p, n, gens_terms, N))
+        assert quotient_length(I, J) == lengths[0] - lengths[1], (I, J)
+        if lengths[0] != lengths[1]:
+            with pytest.raises(InputError, match="contained"):
+                quotient_length(J, I)
 
 
 def test_colength_examples():
@@ -516,6 +600,30 @@ def test_hilbert_samuel_survives_long_transient():
     assert hilbert_samuel(x, P).value == 1
     assert hilbert_samuel(x, P.bracket_power(5)).value == 5
     assert hilbert_samuel(x, P.bracket_power(25)).value == 25
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: the ladder stops on a transient plateau of 2s and certifies it",
+)
+@pytest.mark.parametrize(
+    "texts", [["x^2*y + y^2", "x^3*y^2 + x^2*y + y^2"], ["x^3*y^2", "x^3*y + y^2"]]
+)
+def test_hilbert_samuel_past_a_transient_plateau(texts):
+    """e(x; R/J) = 1 over F_2: J lies in (y), and a power of x kills (y)/J,
+    so e(x; R/J) = e(x; F_2[x]).  The oracle reads the growth of
+    N -> lambda(R/(J + (x^N))) at N = 10; a truncation at degree M gives
+    that length once it is below M."""
+    ring = ring_of(2, ("x", "y"))
+    J = _ideal(ring, texts)
+    x = ring.var(0)
+    lengths = []
+    for N in (10, 11):
+        gens_terms = [list(g.terms) for g in J.generators + (x**N,)]
+        lengths.append(local_colength_truncated(2, 2, gens_terms, N + 8))
+        assert lengths[-1] < N + 8
+    assert lengths[1] - lengths[0] == 1
+    assert hilbert_samuel(x, J).value == 1
 
 
 def test_hilbert_samuel_ladder_counts(monkeypatch):
