@@ -317,7 +317,7 @@ def _add_common(sp, *required, session_file=True):
     for flag in required:
         sp.add_argument(flag, required=True)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--spair-cap", type=int, default=groebner.DEFAULT_SPAIR_CAP, help="S-pair generation cap")
+    sp.add_argument("--spair-cap", type=int, default=groebner.DEFAULT_SPAIR_CAP, help="S-pair generation cap, per attempt at a basis")
 
 
 def build_arg_parser():

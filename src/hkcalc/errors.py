@@ -14,11 +14,13 @@ class InputError(HKError):
 
 
 class ResourceLimitError(HKError):
-    """The S-pair cap was exceeded (too many variables is an InputError)."""
+    """The S-pair cap or the bound on the term pairs of one polynomial
+    product was exceeded (too many variables is an InputError)."""
 
 
 class CertificationError(HKError):
-    """A stabilized value could not be certified within its configured cap."""
+    """A computed value could not be certified: a difference sequence that
+    did not stabilize, or a ratio that did not divide."""
 
 
 class AssociativityRatioError(CertificationError):

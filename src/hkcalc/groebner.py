@@ -1,15 +1,18 @@
 """Buchberger's algorithm, normal forms, and reduced Groebner bases.
 
 Each computation packs its monomials into ints by one _Packing, whose
-integer order is the monomial order, and unpacks its results once.
-Selection follows the normal strategy (minimal S-pair lcm).  Redundant
-pairs are dropped as each element is added, in one pass over the active
-elements (Gebauer-Moller update, J. Symb. Comp. 6, 1988).  Each term is
-reduced by the first element, in basis order, whose leading term divides
-it.  The elements left active are the minimal basis, whose tails alone are
-then reduced.  This is the one way a reduced basis is computed, for
-monomial ideals too.  All tie-breaking is by fixed generator ordering, so
-results are bit-reproducible.
+integer order is the monomial order, and unpacks its results once.  The
+packing's fields are fixed: a computation whose monomials outgrow them
+raises _Overflow and is redone from its input at twice the width, so
+nothing held is ever re-packed.  Selection follows the normal strategy
+(minimal S-pair lcm).  Redundant pairs are dropped as each element is
+added, in one pass over the active elements (Gebauer-Moller update, J.
+Symb. Comp. 6, 1988).  Each term is reduced by the first element, in basis
+order, whose leading term divides it.  The elements left active are the
+minimal basis, whose tails alone are then reduced.  This is the one way a
+reduced basis is computed, for monomial ideals too.  All tie-breaking is
+by fixed generator ordering, so results are bit-reproducible, and do not
+depend on the width.
 
 normal_form(f, polys) is the one reduction, inside Buchberger and out.  A
 GroebnerBasis holds no reducer of its own: reduced bases are canonical, so
@@ -31,6 +34,10 @@ DEFAULT_SPAIR_CAP = 10**6
 SPAIR_CAP = contextvars.ContextVar("SPAIR_CAP", default=DEFAULT_SPAIR_CAP)
 
 
+class _Overflow(Exception):
+    """A packed monomial outgrew its fields: redo the computation wider."""
+
+
 class _Packing:
     """Monomials packed into ints (Roune-Stillman, ISSAC 2012; Monagan-Pearce,
     J. Symb. Comp. 46, 2011).
@@ -41,35 +48,25 @@ class _Packing:
     1 + B + ... + B^(n-1).  So integer order is the monomial order, + is
     multiplication, and while the fields fit, u divides v iff
     (v - u) & guard == 0, and a sum overflows iff it sets a guard bit.
+    The fields never change once made.
     """
 
     __slots__ = ("nvars", "reverse", "weights", "low", "bits", "width", "guard", "ones", "exps")
 
-    def __init__(self, ring: PolynomialRing, polys=()):
+    def __init__(self, ring: PolynomialRing, polys, bits: int = 1):
+        """Fields of at least `bits` value bits, and wide enough for four
+        times any field of the polys, so a basis can outgrow its generators."""
         kind, n = ring.order.kind, ring.nvars
         self.nvars, self.reverse = n, kind == "grevlex"
         # The weight fields, and the field of v * ones where they start.
         self.weights, self.low = {"lex": (0, 0), "grlex": (1, n - 1), "grevlex": (n, 0)}[kind]
-        self.widen(self.fitting(m for g in polys for m, _ in g.terms))
-
-    def fitting(self, monos) -> int:
-        """Value bits for four times any field of these exponent tuples, so a
-        basis can outgrow its generators before it widens."""
         size = sum if self.weights else max
-        return max(1, (4 * max(map(size, monos), default=0)).bit_length())
-
-    def widen(self, bits: int) -> None:
-        """Grow the fields to `bits` value bits; `repack` moves older values."""
+        fit = (4 * max((size(m) for g in polys for m, _ in g.terms), default=0)).bit_length()
+        bits = self.bits = max(bits, fit)
         width = self.width = bits + 1
-        self.bits = bits
-        self.guard = sum(1 << (width * i + bits) for i in range(self.nvars + self.weights))
-        self.ones = sum(1 << width * i for i in range(self.nvars))
-        self.exps = (1 << width * self.nvars) - 1
-
-    def repack(self, v: int, bits: int) -> int:
-        """v, packed with fields of `bits` value bits, packed at this width."""
-        w, mask = bits + 1, (1 << bits) - 1
-        return sum((v >> w * i & mask) << self.width * i for i in range(self.nvars + self.weights))
+        self.guard = sum(1 << (width * i + bits) for i in range(n + self.weights))
+        self.ones = sum(1 << width * i for i in range(n))
+        self.exps = (1 << width * n) - 1
 
     def weigh(self, v: int) -> int:
         """The packed monomial with exponent part v."""
@@ -115,19 +112,16 @@ class _Reducers:
 
     __slots__ = ("ring", "packing", "polys")
 
-    def __init__(self, ring: PolynomialRing, polys=(), packing=None):
-        self.ring, self.packing, self.polys = ring, packing or _Packing(ring, polys), []
+    def __init__(self, ring: PolynomialRing, packing: _Packing, polys=()):
+        self.ring, self.packing, self.polys = ring, packing, []
         for g in polys:
             if not g.is_zero():
                 self.add(g)
 
     def pack(self, terms) -> dict:
-        """Terms of the ring, packed; the fields widen to fit them."""
-        terms = dict(terms)
-        bits = self.packing.fitting(terms)
-        if bits > self.packing.bits:
-            self.widen(bits)
-        return {self.packing.pack(m): c for m, c in terms.items()}
+        """Terms of the ring, packed; the packing must fit them."""
+        pack = self.packing.pack
+        return {pack(m): c for m, c in terms}
 
     def add(self, g) -> _TermDict:
         """Append g, a nonzero Polynomial of the ring or packed _TermDict, made monic."""
@@ -164,32 +158,45 @@ class _Reducers:
                 return g
         return None
 
-    def widen(self, bits: int) -> None:
-        old, repack = self.packing.bits, self.packing.repack
-        self.packing.widen(bits)
-        for g in self.polys:
-            g.terms = {repack(m, old): c for m, c in g.terms.items()}
-            g.lm, g.top = repack(g.lm, old), repack(g.top, old)
+
+def _attempts(ring: PolynomialRing, polys, attempt):
+    """attempt(packing) with a packing that fits polys; after each _Overflow,
+    again from the start with fields twice as wide."""
+    bits = 1
+    while True:
+        packing = _Packing(ring, polys, bits)
+        try:
+            return attempt(packing)
+        except _Overflow:
+            bits = 2 * packing.bits
 
 
 def normal_form(f, basis):
     """Fully reduce f modulo `basis`, a polynomial list or a _Reducers.
 
-    f is a Polynomial, or a _TermDict of the basis's own packing, such as
-    an S-polynomial made by s_polynomial; the remainder is of the same
-    kind.  Every reducible term is rewritten by the first basis element (in
-    the given fixed order) whose leading term divides it, largest terms
-    first, so no term of the remainder is divisible by a leading term of
-    the basis."""
-    ring = f.ring
-    if not isinstance(basis, _Reducers):
-        basis = _Reducers(ring, basis)
-    packing = basis.packing
-    packed = isinstance(f, _TermDict)
-    if packed and not f.terms:
-        return f
-    work = dict(f.terms) if packed else basis.pack(f.terms)
-    guard, find, p = packing.guard, basis.find, ring.p
+    f is a Polynomial reduced by a list, packed with it by one packing
+    that fits both, or a _TermDict of a _Reducers' own packing, such as an
+    S-polynomial made by s_polynomial; the remainder is of the same kind.
+    Every reducible term is rewritten by the first basis element (in the
+    given fixed order) whose leading term divides it, largest terms first,
+    so no term of the remainder is divisible by a leading term of the
+    basis.  On a _Reducers, a product that would outgrow the fields raises
+    _Overflow; a list is packed again wider and f reduced again."""
+    if isinstance(basis, _Reducers):
+        return _TermDict(f.ring, _reduce(dict(f.terms), basis), basis.packing) if f.terms else f
+    ring, polys = f.ring, list(basis)
+
+    def attempt(packing):
+        reducers = _Reducers(ring, packing, polys)
+        return _TermDict(ring, _reduce(reducers.pack(f.terms), reducers), packing).polynomial()
+
+    return _attempts(ring, [f, *polys], attempt)
+
+
+def _reduce(work: dict, basis: _Reducers) -> dict:
+    """The remainder of the packed terms `work`, which it consumes, modulo
+    `basis`, largest term first."""
+    guard, find, p = basis.packing.guard, basis.find, basis.ring.p
     out = {}
     while work:
         m = max(work)
@@ -199,12 +206,7 @@ def normal_form(f, basis):
             continue
         shift = m - g.lm
         if (shift + g.top) & guard:
-            # A product would overflow, as lex terms may: widen and redo the step.
-            bits = packing.bits
-            basis.widen(bits + 1)
-            guard = packing.guard
-            work, out = ({packing.repack(u, bits): c for u, c in d.items()} for d in (work, out))
-            continue
+            raise _Overflow  # a product outgrows the fields, as lex terms may
         # Subtract c * x^shift * g, g monic; its leading term cancels m.
         c = work[m]
         for mg, cg in g.terms.items():
@@ -215,8 +217,7 @@ def normal_form(f, basis):
             elif mm in work:
                 del work[mm]
     # Terms were popped largest first, and reduction only adds smaller ones.
-    out = _TermDict(ring, out, packing)
-    return out if packed else out.polynomial()
+    return out
 
 
 def s_polynomial(f, g):
@@ -276,8 +277,8 @@ def _interreduce(basis):
     Only a smaller leading term divides a term below lm(g), so reducing each
     tail in place, in ascending order, against the whole list takes the same
     steps as against the elements already reduced.  A monomial has no tail
-    and stands; a widening re-packs the list, g included.  Tail reduction
-    keeps the leading terms, so the result stays sorted."""
+    and stands.  Tail reduction keeps the leading terms, so the result stays
+    sorted."""
     polys, packing = basis.polys, basis.packing
     for k, g in enumerate(polys if len(polys) > 1 else ()):  # alone, g has nothing to reduce by
         tail = normal_form(_TermDict(g.ring, {m: c for m, c in g.terms.items() if m != g.lm}, packing), basis)
@@ -290,9 +291,10 @@ def groebner_basis(ring: PresentedRing, gens) -> GroebnerBasis:
     """Reduced Groebner basis of (gens) + (ring relations), cached on the ring.
 
     Every basis, a monomial ideal's included, is built one way: _buchberger,
-    then _interreduce.  Raises ResourceLimitError once more than SPAIR_CAP
-    S-pairs have been generated.  A cached basis generates no S-pairs, so
-    the cap does not apply to it.
+    then _interreduce, redone wider after an _Overflow.  Raises
+    ResourceLimitError once one attempt has generated more than SPAIR_CAP
+    S-pairs.  A cached basis generates no S-pairs, so the cap does not
+    apply to it.
     """
     ambient = ring.ambient
     gens = [g for g in gens if not g.is_zero()]
@@ -303,7 +305,8 @@ def groebner_basis(ring: PresentedRing, gens) -> GroebnerBasis:
     hit = ring._bases.get(cache_key)
     if hit is not None:
         return hit
-    elements = _interreduce(_buchberger(ambient, gens + list(ring.relations)))
+    gens += ring.relations
+    elements = _attempts(ambient, gens, lambda packing: _interreduce(_buchberger(ambient, gens, packing)))
     # The bases cached on a ring share many elements (the rungs of a ladder
     # do), so they share one copy of each.
     shared = ring._elements
@@ -312,9 +315,9 @@ def groebner_basis(ring: PresentedRing, gens) -> GroebnerBasis:
     return result
 
 
-def _buchberger(ring, gens):
-    """The minimal Groebner basis of (gens) as _Reducers, sorted ascending by
-    leading term, but not tail-reduced.
+def _buchberger(ring, gens, packing):
+    """The minimal Groebner basis of (gens) as _Reducers of `packing`, which
+    fits gens, sorted ascending by leading term, but not tail-reduced.
 
     Every element is fully reduced by the earlier ones before it is added,
     so no earlier leading term divides a later one, and the active elements,
@@ -333,32 +336,26 @@ def _buchberger(ring, gens):
     a + lm(h) makes a divide b.
     """
     spair_cap = SPAIR_CAP.get()
-    basis = _Reducers(ring, packing=_Packing(ring, gens))
-    packing, G = basis.packing, basis.polys
+    basis = _Reducers(ring, packing)
+    G = basis.polys
     plms = []  # exponent parts of the leading monomials
-    bits = packing.bits  # the width plms and heap are packed at
     active = []
     heap = []  # (packed lcm, i, k, its exponent part)
     pairs_made = 0
 
     def add(h):
-        nonlocal pairs_made, bits
+        nonlocal pairs_made
         j = len(G)
         pairs_made += j
         if pairs_made > spair_cap:
             raise ResourceLimitError("S-pair cap of %d exceeded" % spair_cap)
         h = basis.add(h)
         # Twice each monomial of h fits, so no lcm or S-polynomial overflows.
-        while (h.top + h.top) & packing.guard:
-            basis.widen(packing.bits + 1)
-        if packing.bits != bits:  # widened here or by a reduction
-            repack = packing.repack
-            plms[:] = [repack(u, bits) for u in plms]
-            # Repacking keeps the order, so the heap stays a heap.
-            heap[:] = [(repack(e[0], bits), e[1], e[2], repack(e[3], bits)) for e in heap]
-            bits = packing.bits
+        if (h.top + h.top) & packing.guard:
+            raise _Overflow
         # The update works on exponent parts, whose guard keeps the ints short.
-        p, guard, fieldmax = h.lm & packing.exps, packing.guard & packing.exps, packing.fieldmax
+        p, guard, bits = h.lm & packing.exps, packing.guard & packing.exps, packing.bits
+        fieldmax = packing.fieldmax
         # B_k, on the queued pairs (i, k) = (e[1], e[2]) with lcm e[3].
         kept = [
             e

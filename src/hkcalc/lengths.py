@@ -321,8 +321,9 @@ def hilbert_samuel(x: Polynomial, J: Ideal) -> MultiplicityResult:
     layer onto the next), so transient plateaus above the true value are the
     only failure mode; certification therefore requires three consecutive
     equal differences past an adaptive floor, the maximum total degree of the
-    defining Groebner basis, which dominates every staircase breakpoint seen
-    at this scale.
+    defining Groebner basis.  The floor is a heuristic, not a proof: a
+    plateau can outlast it, and the value returned is then too high although
+    flagged certified (see the README's Limits).
     """
     ring = J.ring
     if not ring.owns(x):

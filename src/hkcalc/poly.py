@@ -19,8 +19,12 @@ polynomial f, however it was built.
 
 from __future__ import annotations
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .orders import mono_mul, mono_pow
+
+# The most term pairs one product may multiply out: about 0.1 s of work,
+# and a result of at most as many terms.
+PRODUCT_CAP = 10**5
 
 
 def is_power_of(q: int, p: int) -> bool:
@@ -114,6 +118,8 @@ class Polynomial:
 
     def __mul__(self, other):
         self._check(other)
+        if len(self.terms) * len(other.terms) > PRODUCT_CAP:
+            raise ResourceLimitError("product cap of %d term pairs exceeded" % PRODUCT_CAP)
         p = self.ring.p
         acc = {}
         for mu, cu in self.terms:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -339,6 +340,17 @@ def test_exit_code_resource_limit(capsys, tmp_path):
         capsys, ["gb", "--in", str(path), "--ideal", "I", "--spair-cap", "2"]
     )
     assert code == 3 and "resource limit" in err
+
+
+def test_dense_expansion_exits_at_the_product_cap(capsys, tmp_path):
+    """(x + y)^99999999 over F_5 has 2 343 750 terms; expanding it stops at
+    the first product of more than 10^5 term pairs, with exit 3."""
+    path = tmp_path / "dense.hk"
+    path.write_text("char 5\nvars x y\nideal m = (x+y)^99999999, y\n")
+    start = time.monotonic()
+    code, out, err = _run(capsys, ["colength", "--in", str(path), "--ideal", "m"])
+    assert time.monotonic() - start < 5
+    assert (code, out) == (3, "") and "resource limit: product cap of 100000 term pairs exceeded" in err
 
 
 def test_spair_cap_scoped_to_one_call(capsys, tmp_path):

@@ -4,7 +4,7 @@ import pytest
 
 from hkcalc import InputError, MonomialOrder, PolynomialRing
 from hkcalc.field import characteristic, is_prime
-from hkcalc.groebner import _Reducers
+from hkcalc.groebner import _Packing, _Reducers
 from helpers import polynomial_ring_of
 
 
@@ -39,7 +39,7 @@ def test_arithmetic_random():
         for _ in range(200):
             a = rng.randrange(1, p)
             f = ring.poly([((1,), a), ((0,), rng.randrange(p))])
-            (h,) = _Reducers(ring, [f]).polys
+            (h,) = _Reducers(ring, _Packing(ring, [f]), [f]).polys
             h = h.polynomial()
             assert h.terms[0][1] == 1 and h * ring.constant(a) == f
 

@@ -391,11 +391,14 @@ def test_first_dividing_lead_matches_brute_force():
                 pool = [tuple(rng.randint(0, 3) for _ in range(nvars)) for _ in range(rng.randint(1, 8))]
                 lms = [rng.choice(pool) for _ in range(rng.randint(1, 12))]  # with repeats
                 rng.shuffle(lms)
-                index = _Reducers(ring, [ring.poly([(u, rng.randint(1, 4))]) for u in lms])
+                polys = [ring.poly([(u, rng.randint(1, 4))]) for u in lms]
+                # A packing that fits every m drawn below.
+                packing = _Packing(ring, polys + [ring.poly([((4,) * nvars, 1)])])
+                index = _Reducers(ring, packing, polys)
                 for _ in range(20):
                     m = tuple(rng.randint(0, 4) for _ in range(nvars))
                     first = next((i for i, u in enumerate(lms) if all(map(le, u, m))), None)
-                    (packed,) = index.pack([(m, 1)])  # widens the fields to fit m
+                    (packed,) = index.pack([(m, 1)])
                     found = index.find(packed)
                     assert found is (None if first is None else index.polys[first]), (lms, m)
 
@@ -403,7 +406,8 @@ def test_first_dividing_lead_matches_brute_force():
 def test_packing_matches_exponent_tuples():
     """For every order kind in 1-5 variables: integer order is the monomial
     order, + multiplies, the guard test divides, lcm is right, and unpack
-    inverts pack, also once the fields have widened to exponents of 2^40."""
+    inverts pack, at the width that fits the monomials, at twice it, and at
+    a width that fits exponents of 2^40."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -432,13 +436,15 @@ def test_packing_matches_exponent_tuples():
     def agrees(case):
         kind, nvars, monos, wide = case
         ring = polynomial_ring_of(7, "abcde"[:nvars], kind)
-        packing = _Packing(ring, [ring.poly([(m, 1)]) for m in monos])
+        polys = [ring.poly([(m, 1)]) for m in monos]
+        packing = _Packing(ring, polys)
         check(ring, packing, monos)
-        bits, before = packing.bits, [packing.pack(m) for m in monos]
-        packing.widen(packing.fitting(wide))
-        assert packing.bits > bits
-        assert [packing.repack(v, bits) for v in before] == [packing.pack(m) for m in monos]
-        check(ring, packing, monos + wide)
+        doubled = _Packing(ring, polys, 2 * packing.bits)
+        assert doubled.bits == 2 * packing.bits
+        check(ring, doubled, monos)
+        wider = _Packing(ring, polys + [ring.poly([(m, 1)]) for m in wide])
+        assert wider.bits > doubled.bits
+        check(ring, wider, monos + wide)
 
     agrees()
 
@@ -463,28 +469,31 @@ def test_packed_width_grows_past_any_fixed_field():
 
 def test_lex_reduction_widens_the_fields(monkeypatch):
     """Lex terms have no degree bound: tail-reducing x - y^20 by y - z^20
-    reaches z^400 within one normal_form call, past the width that fits the
-    generators.  The fields widen in place; no call is repeated."""
-    calls = {"nf": 0, "spoly": 0}
+    reaches z^400 within one normal_form call, past the 7 bits that fit
+    four times the generators.  That call raises, and the whole computation
+    is redone at 14 bits, where it fits; nothing is re-packed."""
+    widths, spolys = [], []
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
+    def counted_nf(f, basis):
+        widths.append(basis.packing.bits)
+        return normal_form(f, basis)
 
-        return wrapper
+    def counted_spoly(f, g):
+        spolys.append(f.packing.bits)
+        return s_polynomial(f, g)
 
-    monkeypatch.setattr(hkcalc.groebner, "normal_form", counted("nf", normal_form))
-    monkeypatch.setattr(hkcalc.groebner, "s_polynomial", counted("spoly", s_polynomial))
+    monkeypatch.setattr(hkcalc.groebner, "normal_form", counted_nf)
+    monkeypatch.setattr(hkcalc.groebner, "s_polynomial", counted_spoly)
     ring = ring_of(7, ("x", "y", "z"), kind="lex")
     basis = _gb(ring, ["x - y^20", "y - z^20"])
     assert [g.render() for g in basis.elements] == ["y + 6*z^20", "x + 6*z^400"]
-    assert calls == {"nf": 3, "spoly": 0}
-    # w - x waits, packed at the old width, while x - y^20 is reduced.
+    assert (widths, spolys) == ([7] * 3 + [14] * 3, [])
+    # w - x is reduced again in the second attempt, with the rest.
+    widths.clear()
     ring = ring_of(7, ("w", "x", "y", "z"), kind="lex")
     basis = _gb(ring, ["w - x", "x - y^20", "y - z^20"])
     assert [g.render() for g in basis.elements] == ["y + 6*z^20", "x + 6*z^400", "w + 6*z^400"]
-    assert calls == {"nf": 3 + 5, "spoly": 0}
+    assert (widths, spolys) == ([7] * 4 + [14] * 5, [])
 
 
 @pytest.mark.parametrize("kind", ORDER_KINDS)

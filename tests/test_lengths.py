@@ -224,18 +224,19 @@ SWEEP_RINGS = [
 ]
 
 
-def test_dimension_vs_oracle_sweep():
+def _dimension_sweep(seed, trials=90):
     """dimension on seeded draws of dimension 1 and 2 at the origin against
     the degree of N -> lambda(R/(J + m^N)) from the truncation oracle, read
-    over N = 8..12 in two variables and 6..10 in three.
+    over N = 8..12 in two variables and 6..10 in three; returns the
+    (dimension, embedded) kinds seen.
 
     A draw is one generator through the origin, or two where the ring has
     dimension 3.  In about three draws of five the last generator f gives
     way to f * x_i^(a_i), one for each variable, which adds a component
     embedded at the origin."""
-    rng = random.Random(11)
+    rng = random.Random(seed)
     seen = set()
-    for trial in range(90):
+    for trial in range(trials):
         names, relations = SWEEP_RINGS[trial % len(SWEEP_RINGS)]
         ring = ring_of((2, 3, 5)[trial % 3], names, relations=relations)
         n = ring.nvars
@@ -250,22 +251,21 @@ def test_dimension_vs_oracle_sweep():
         d = dimension(J)
         assert d == _oracle_dimension(J, range(8, 13) if n == 2 else range(6, 11)), (ring, J)
         seen.add((d, embedded))
-    assert seen == {(d, e) for d in (1, 2) for e in (True, False)}
+    return seen
 
 
-def test_quotient_length_vs_oracle_sweep():
+def _quotient_length_sweep(seed, units_seed, trials=24):
     """quotient_length(I, J) on seeded pairs contained only at the origin,
     against the difference of two oracle colengths.
 
     I has a pure power x_i^(a_i) of each variable plus lower terms, so the
     box of the a_i bounds its colength, and the oracle is read at N = that
-    box + 1.  K is I plus one
-    generator through the origin, and J = u * K for u a unit at the
-    origin: J = K there, so I lies in J, while I does not lie in J, nor in
-    (u), globally."""
-    rng = random.Random(12)
-    units = random.Random(13)
-    for trial in range(24):
+    box + 1.  K is I plus one generator through the origin, and J = u * K
+    for u a unit at the origin: J = K there, so I lies in J, while I does
+    not lie in J, nor in (u), globally."""
+    rng = random.Random(seed)
+    units = random.Random(units_seed)
+    for trial in range(trials):
         names, relations = SWEEP_RINGS[trial % 3]
         ring = ring_of((2, 3, 5)[trial // 3 % 3], names, relations=relations)
         n = ring.nvars
@@ -283,6 +283,29 @@ def test_quotient_length_vs_oracle_sweep():
         if lengths[0] != lengths[1]:
             with pytest.raises(InputError, match="contained"):
                 quotient_length(J, I)
+
+
+def test_dimension_vs_oracle_sweep():
+    """90 draws reach dimensions 1 and 2, each with and without an
+    embedded component."""
+    assert _dimension_sweep(11) == {(d, e) for d in (1, 2) for e in (True, False)}
+
+
+def test_quotient_length_vs_oracle_sweep():
+    _quotient_length_sweep(12, 13)
+
+
+# The larger seed sets, run by `pytest -m sweep`.
+@pytest.mark.sweep
+@pytest.mark.parametrize("seed", range(100, 120))
+def test_dimension_vs_oracle_sweep_more_seeds(seed):
+    _dimension_sweep(seed)
+
+
+@pytest.mark.sweep
+@pytest.mark.parametrize("seed", range(100, 120))
+def test_quotient_length_vs_oracle_sweep_more_seeds(seed):
+    _quotient_length_sweep(seed, seed + 1000)
 
 
 def test_colength_examples():
@@ -465,6 +488,24 @@ def test_local_colength_nonhomogeneous_relation():
         I = _ideal(ring, texts)
         gens_terms = [list(g.terms) for g in I.generators + ring.relations]
         assert _assert_truncation_agrees(I, gens_terms) == expected
+
+
+def test_local_colength_redone_wider_under_grlex(monkeypatch):
+    """Lazard's grlex basis of this ideal outgrows the 5-bit fields that fit
+    its homogenized generators, so Buchberger is redone at 10 bits; the
+    local colength still agrees with the truncation oracle."""
+    attempts = []
+    buchberger = hkcalc.groebner._buchberger
+
+    def recorded(ring, gens, packing):
+        attempts.append((ring.order.kind, packing.bits))
+        return buchberger(ring, gens, packing)
+
+    monkeypatch.setattr(hkcalc.groebner, "_buchberger", recorded)
+    ring = ring_of(7, ("x", "y"))
+    I = _ideal(ring, ["2*x^5 + 4*x^4 + 5*y^4 + 3*y", "4*x^2 + 3*x + 4*y^5 + 4*y^4"])
+    assert _assert_truncation_agrees(I, [list(g.terms) for g in I.generators]) == 1
+    assert attempts == [("grlex", 5), ("grlex", 10)]
 
 
 def test_local_colength_with_relations_vs_truncation_oracle():

@@ -7,10 +7,11 @@ from hkcalc import (
     InputError,
     Polynomial,
     PresentedRing,
+    ResourceLimitError,
     groebner_basis,
     normal_form,
 )
-from hkcalc.poly import is_power_of
+from hkcalc.poly import PRODUCT_CAP, is_power_of
 from helpers import poly_of, random_poly, ring_of, s_poly
 
 
@@ -100,6 +101,17 @@ def test_pow_multiplies_out_only_the_digit_powers(monkeypatch):
     products.clear()
     assert f**50 == f50
     assert len(products) <= 4
+
+
+def test_product_cap_boundary():
+    """A product of exactly PRODUCT_CAP term pairs is multiplied out; with
+    one more term on a side it raises ResourceLimitError."""
+    ring = ring_of(5, ("x", "y"))
+    f = ring.poly(((i, 0), 1) for i in range(400))
+    g = ring.poly(((0, j), 1) for j in range(PRODUCT_CAP // 400))
+    assert len((f * g).terms) == PRODUCT_CAP
+    with pytest.raises(ResourceLimitError, match="product cap of %d term pairs exceeded" % PRODUCT_CAP):
+        f * (g + poly_of(ring, "x*y^1000"))
 
 
 def test_frobenius_matches_power_oracle():
