@@ -24,7 +24,7 @@ from .lengths import (
     quotient_length,
     require_parameter,
 )
-from .poly import Polynomial, is_power_of
+from .poly import Polynomial, require_power_of
 from .ring import PresentedRing
 
 PASS = "PASS"
@@ -56,10 +56,8 @@ def _unmet(check, inputs, reason) -> CheckReport:
 
 
 def _q_powers(ring: PresentedRing, q_list):
-    p = ring.p
     for q in q_list:
-        if not is_power_of(q, p):
-            raise InputError("%d is not a power of the characteristic %d" % (q, p))
+        require_power_of(q, ring.p)
     return list(q_list)
 
 

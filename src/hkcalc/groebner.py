@@ -1,7 +1,10 @@
 """Buchberger's algorithm, normal forms, and reduced Groebner bases.
 
 Each computation packs its monomials into ints by one _Packing, whose
-integer order is the monomial order, and unpacks its results once.  The
+integer order is the monomial order, and unpacks its results once, by its
+_Reducers.  In between, an unsorted polynomial is a plain dict from packed
+monomial to coefficient, and a _Reducer is such a dict, monic, with its
+leading monomial and the fieldwise max of its monomials.  The
 packing's fields are fixed: a computation whose monomials outgrow them
 raises _Overflow and is redone from its input at twice the width, so
 nothing held is ever re-packed.  Selection follows the normal strategy
@@ -91,64 +94,54 @@ class _Packing:
         return v ^ ((u ^ v) & (ge - (ge >> self.bits)))
 
 
-class _TermDict:
-    """An unsorted polynomial: `terms` maps each monomial, an int of
-    `packing`, to its nonzero coefficient mod p.  A reducer is monic,
-    largest term first, with `lm` and `top`, its fieldwise max."""
+class _Reducer:
+    """A monic packed polynomial: `terms` maps each monomial, an int of one
+    _Packing, to its nonzero coefficient mod p, largest first; `lm` is the
+    leading monomial and `top` the fieldwise max of the monomials."""
 
-    __slots__ = ("ring", "terms", "packing", "lm", "top")
+    __slots__ = ("terms", "lm", "top")
 
-    def __init__(self, ring: PolynomialRing, terms: dict, packing: _Packing):
-        self.ring, self.terms, self.packing = ring, terms, packing
-
-    def polynomial(self) -> Polynomial:
-        """Unpacked; the terms must be largest first."""
-        unpack = self.packing.unpack
-        return Polynomial._canonical(self.ring, tuple((unpack(m), c) for m, c in self.terms.items()))
+    def __init__(self, terms: dict, lm: int, top: int):
+        self.terms, self.lm, self.top = terms, lm, top
 
 
 class _Reducers:
-    """Reducers of one _Packing, in basis order: packed monic _TermDicts."""
+    """Reducers of one _Packing, in basis order."""
 
     __slots__ = ("ring", "packing", "polys")
 
-    def __init__(self, ring: PolynomialRing, packing: _Packing, polys=()):
+    def __init__(self, ring: PolynomialRing, packing: _Packing):
         self.ring, self.packing, self.polys = ring, packing, []
-        for g in polys:
-            if not g.is_zero():
-                self.add(g)
 
     def pack(self, terms) -> dict:
         """Terms of the ring, packed; the packing must fit them."""
         pack = self.packing.pack
         return {pack(m): c for m, c in terms}
 
-    def add(self, g) -> _TermDict:
-        """Append g, a nonzero Polynomial of the ring or packed _TermDict, made monic."""
-        self.polys.append(self.reducer(g))
+    def polynomial(self, terms: dict) -> Polynomial:
+        """Packed terms, largest first, unpacked: the one place a
+        computation unpacks."""
+        unpack = self.packing.unpack
+        return Polynomial._canonical(self.ring, tuple((unpack(m), c) for m, c in terms.items()))
+
+    def add(self, terms: dict) -> _Reducer:
+        """Append nonzero packed terms, largest first, made a reducer."""
+        self.polys.append(self.reducer(terms))
         return self.polys[-1]
 
-    def reducer(self, g) -> _TermDict:
-        """g, as add takes it, made a reducer but not appended: the one place
-        the kernel makes a polynomial monic."""
-        if isinstance(g, _TermDict):
-            terms = g.terms
-        elif self.ring.owns(g):
-            terms = self.pack(g.terms)
-        else:
-            raise InputError("operands live in different rings")
+    def reducer(self, terms: dict) -> _Reducer:
+        """Nonzero packed terms, largest first, made a reducer but not
+        appended: the one place the kernel makes a polynomial monic."""
         p = self.ring.p
         inv = pow(next(iter(terms.values())), -1, p)
         if inv != 1:
             terms = {m: c * inv % p for m, c in terms.items()}
-        h = _TermDict(self.ring, terms, self.packing)
-        h.lm = top = next(iter(terms))
+        lm = top = next(iter(terms))
         guard, bits = self.packing.guard, self.packing.bits
         for m in terms:  # top = fieldmax(top, m), inlined
             ge = ((top | guard) - m) & guard
             top = m ^ ((top ^ m) & (ge - (ge >> bits)))
-        h.top = top
-        return h
+        return _Reducer(terms, lm, top)
 
     def find(self, m: int):
         """The first reducer whose leading monomial divides m, or None."""
@@ -174,21 +167,27 @@ def _attempts(ring: PolynomialRing, polys, attempt):
 def normal_form(f, basis):
     """Fully reduce f modulo `basis`, a polynomial list or a _Reducers.
 
-    f is a Polynomial reduced by a list, packed with it by one packing
-    that fits both, or a _TermDict of a _Reducers' own packing, such as an
-    S-polynomial made by s_polynomial; the remainder is of the same kind.
-    Every reducible term is rewritten by the first basis element (in the
-    given fixed order) whose leading term divides it, largest terms first,
-    so no term of the remainder is divisible by a leading term of the
-    basis.  On a _Reducers, a product that would outgrow the fields raises
-    _Overflow; a list is packed again wider and f reduced again."""
+    By a list, f is a Polynomial of the list's ring, packed with the list
+    by one packing that fits both, and the remainder is a Polynomial; a
+    product that outgrows the fields has them packed again wider and f
+    reduced again.  By a _Reducers, f is a dict of packed terms of its
+    packing, such as an S-polynomial made by s_polynomial, which the
+    reduction consumes; the remainder is a dict, largest term first, and a
+    product that would outgrow the fields raises _Overflow.  Every
+    reducible term is rewritten by the first basis element (in the given
+    fixed order) whose leading term divides it, largest terms first, so no
+    term of the remainder is divisible by a leading term of the basis."""
     if isinstance(basis, _Reducers):
-        return _TermDict(f.ring, _reduce(dict(f.terms), basis), basis.packing) if f.terms else f
-    ring, polys = f.ring, list(basis)
+        return _reduce(f, basis)
+    ring, polys = f.ring, [g for g in basis if not g.is_zero()]
+    if not all(ring.owns(g) for g in polys):
+        raise InputError("operands live in different rings")
 
     def attempt(packing):
-        reducers = _Reducers(ring, packing, polys)
-        return _TermDict(ring, _reduce(reducers.pack(f.terms), reducers), packing).polynomial()
+        reducers = _Reducers(ring, packing)
+        for g in polys:
+            reducers.add(reducers.pack(g.terms))
+        return reducers.polynomial(_reduce(reducers.pack(f.terms), reducers))
 
     return _attempts(ring, [f, *polys], attempt)
 
@@ -220,16 +219,15 @@ def _reduce(work: dict, basis: _Reducers) -> dict:
     return out
 
 
-def s_polynomial(f, g):
-    """S(f, g) for the critical lcm of two reducers of one _Reducers.
+def s_polynomial(basis, f, g):
+    """S(f, g) for the critical lcm of two reducers of the _Reducers basis.
 
     Both are monic, so S(f, g) is x^(lcm - lm f) f - x^(lcm - lm g) g, as
     the unsorted packed term dict normal_form starts from; _buchberger
     keeps its monomials in range."""
-    ring, packing = f.ring, f.packing
     if len(f.terms) == len(g.terms) == 1:
-        return _TermDict(ring, {}, packing)  # two monic monomials cancel
-    p = ring.p
+        return {}  # two monic monomials cancel
+    packing, p = basis.packing, basis.ring.p
     lcm = packing.weigh(packing.fieldmax(f.lm, g.lm) & packing.exps)
     sf, sg = lcm - f.lm, lcm - g.lm
     terms = {m + sf: c for m, c in f.terms.items()}
@@ -240,7 +238,7 @@ def s_polynomial(f, g):
             terms[m] = v
         else:
             del terms[m]  # the leading terms cancel
-    return _TermDict(ring, terms, packing)
+    return terms
 
 
 class GroebnerBasis:
@@ -279,12 +277,12 @@ def _interreduce(basis):
     steps as against the elements already reduced.  A monomial has no tail
     and stands.  Tail reduction keeps the leading terms, so the result stays
     sorted."""
-    polys, packing = basis.polys, basis.packing
+    polys = basis.polys
     for k, g in enumerate(polys if len(polys) > 1 else ()):  # alone, g has nothing to reduce by
-        tail = normal_form(_TermDict(g.ring, {m: c for m, c in g.terms.items() if m != g.lm}, packing), basis)
+        tail = normal_form({m: c for m, c in g.terms.items() if m != g.lm}, basis)
         if len(g.terms) > 1:
-            polys[k] = basis.reducer(_TermDict(g.ring, {g.lm: 1, **tail.terms}, packing))
-    return [g.polynomial() for g in polys]
+            polys[k] = basis.reducer({g.lm: 1, **tail})
+    return [basis.polynomial(g.terms) for g in polys]
 
 
 def groebner_basis(ring: PresentedRing, gens) -> GroebnerBasis:
@@ -396,15 +394,16 @@ def _buchberger(ring, gens, packing):
         plms.append(p)
 
     for g in gens:
-        g = _TermDict(ring, basis.pack(g.terms), packing)
-        h = normal_form(g, basis) if G else g
-        if h.terms:
+        h = basis.pack(g.terms)
+        if G:
+            h = normal_form(h, basis)
+        if h:
             add(h)
 
     while heap:
         _, i, j, _ = heapq.heappop(heap)
-        h = normal_form(s_polynomial(G[i], G[j]), basis)
-        if h.terms:
+        h = normal_form(s_polynomial(basis, G[i], G[j]), basis)
+        if h:
             add(h)
 
     basis.polys = sorted((G[i] for i in active), key=lambda g: g.lm)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import InputError
 from .groebner import GroebnerBasis, groebner_basis
-from .poly import is_power_of
+from .poly import require_power_of
 from .ring import PresentedRing
 
 
@@ -36,9 +36,7 @@ class Ideal:
     def bracket_power(self, q: int) -> "Ideal":
         """The Frobenius power I^[q], generated by q-th powers of the listed
         generators.  Ring relations are never raised to the q."""
-        p = self.ring.p
-        if not is_power_of(q, p):
-            raise InputError("%d is not a power of the characteristic %d" % (q, p))
+        require_power_of(q, self.ring.p)
         if q == 1:
             return self
         return Ideal(self.ring, [g.frobenius(q) for g in self.generators])

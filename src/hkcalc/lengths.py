@@ -3,8 +3,8 @@ Hilbert-Samuel multiplicity of a parameter on a one-dimensional quotient.
 
 The global (affine) colength counts standard monomials of the leading-term
 ideal, which monomial input is itself, so that needs no basis: in closed
-form for one and two variables, in one sweep with an incrementally updated
-planar staircase for three, and by slicing down to that sweep for more.
+form for one variable, in one sweep that lowers a planar staircase corner by
+corner for two and three, and by slicing down to that sweep for more.
 The local quantities, at the origin, read one local leading ideal, found by
 Lazard's homogenization (Greuel-Pfister, A Singular Introduction to
 Commutative Algebra, 1.7): the local colength counts its standard
@@ -22,7 +22,7 @@ tests no membership.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from typing import NamedTuple
 
 from .errors import CertificationError, InputError
@@ -55,43 +55,27 @@ def is_finite(value) -> bool:
 # -- staircase counting -------------------------------------------------------
 
 
-def _planar(gens):
-    """The corners and area of a staircase in two variables.
+def _sweep(levels, bound):
+    """Standard monomials of a staircase in two or three variables, in one
+    sweep along the last one.
 
-    gens is sorted and holds a pure power of each variable.  The corners are
-    the points where the running minimum of the second coordinate drops:
-    first coordinates ascending, second strictly descending, from the least
-    power of the second variable to the least power of the first.  The area
-    under that step function is the number of standard monomials.
+    levels are the sorted corners (c, a, b) below bound, the last
+    variable's least pure power.  The slab at each level c is the planar
+    staircase of the corners at or below it, kept as its corners and area:
+    first coordinates ascending, second strictly descending.  It starts as
+    the box of the first two variables' least pure powers, and each corner
+    lowers it as it arrives.  Each slab adds (next level - level) * area to
+    the volume.  A two-variable staircase is one level with bound 1.
     """
-    x, y = gens[0]
-    xs, ys = [x], [y]
-    area = 0
-    for a, b in gens:
-        if b < y:
-            area += (a - x) * y
-            x, y = a, b
-            xs.append(a)
-            ys.append(b)
-    return xs, ys, area
-
-
-def _sweep(gens):
-    """Standard monomials of a staircase in three variables, in one sweep
-    along the last one.
-
-    The slab at each level of the last variable is the planar staircase of
-    the generators at or below that level.  It is kept as its corners and
-    area and updated as each level's corners arrive, and each slab adds
-    (next level - level) * area to the volume.
-    """
-    bound = min(c for a, b, c in gens if a == b == 0)
-    corners = sorted((c, a, b) for a, b, c in gens if c < bound)
-    first = bisect_left(corners, (1,))
-    xs, ys, area = _planar([(a, b) for _, a, b in corners[:first]])
+    # Sorted, the corners start with (0, 0, h), the least pure power of the
+    # second variable, and the first with b = 0 is (0, w, 0), the least of
+    # the first: level 0 comes before any other.
+    h = levels[0][2]
+    w = next(a for c, a, b in levels if not b)
+    xs, ys, area = [0, w], [h, 0], w * h
     volume = 0
     level = 0
-    for c, a, b in corners[first:]:
+    for c, a, b in levels:
         if c != level:
             volume += (c - level) * area
             level = c
@@ -121,13 +105,13 @@ def count_standard_monomials(lead_monomials, nvars: int):
     """Number of monomials outside the given monomial ideal, or INFINITE.
 
     The staircase is finite iff every variable has a pure power among the
-    generators.  One and two variables are counted in closed form, two as
-    the area under the running minimum of the corners sorted along the
-    first variable.  Three variables are counted in one sweep along the
-    last, with a planar staircase updated incrementally (_sweep).  More
-    variables are sliced along the variable with the fewest distinct
-    exponents; each slab between consecutive exponents is a staircase in
-    one variable fewer, counted recursively down to the sweep.
+    generators.  One variable is counted in closed form.  Two and three are
+    counted by one sweep (_sweep): from the box of the first two variables'
+    least pure powers, each corner lowers a planar staircase, and three
+    variables stack its slabs along the last.  More variables are sliced
+    along the variable with the fewest distinct exponents; each slab
+    between consecutive exponents is a staircase in one variable fewer,
+    counted recursively down to the sweep.
     Dominated and repeated generators are accepted and change nothing.
     """
     monos = {tuple(m) for m in lead_monomials}
@@ -142,15 +126,18 @@ def _count(gens, k):
     """Standard monomials of the staircase gens in k variables.
 
     gens is sorted and holds a pure power of each of the k variables and no
-    unit.  A module-level function, not a closure: a closure that calls
-    itself is a reference cycle through its own cell.
+    unit.  Two variables are one level of the sweep, three are swept along
+    the last up to its least pure power, and more are sliced.  A
+    module-level function, not a closure: a closure that calls itself is a
+    reference cycle through its own cell.
     """
     if k == 1:
         return gens[0][0]
     if k == 2:
-        return _planar(gens)[2]
+        return _sweep([(0, a, b) for a, b in gens], 1)
     if k == 3:
-        return _sweep(gens)
+        bound = min(c for a, b, c in gens if a == b == 0)
+        return _sweep(sorted((c, a, b) for a, b, c in gens if c < bound), bound)
     j = min(range(k), key=lambda i: len({m[i] for m in gens}))
     bound = min(m[j] for m in gens if m[j] == sum(m))
     levels = sorted({m[j] for m in gens if m[j] < bound} | {0}) + [bound]

@@ -27,13 +27,13 @@ from .orders import mono_mul, mono_pow
 PRODUCT_CAP = 10**5
 
 
-def is_power_of(q: int, p: int) -> bool:
-    """True iff q = p^e for some e >= 0."""
-    if q < 1:
-        return False
-    while q % p == 0:
-        q //= p
-    return q == 1
+def require_power_of(q: int, p: int) -> None:
+    """Raise InputError unless q = p^e for some e >= 0."""
+    r = q
+    while r >= 1 and r % p == 0:
+        r //= p
+    if r != 1:
+        raise InputError("%d is not a power of the characteristic %d" % (q, p))
 
 
 class Polynomial:
@@ -163,9 +163,7 @@ class Polynomial:
         Valid because the q-th power map is additive in characteristic p and
         fixes F_p coefficients (c^p = c).
         """
-        p = self.ring.p
-        if not is_power_of(q, p):
-            raise InputError("%d is not a power of the characteristic %d" % (q, p))
+        require_power_of(q, self.ring.p)
         if q == 1:
             return self
         # Scaling every exponent by q keeps the order of lex, grlex and

@@ -39,8 +39,8 @@ def test_arithmetic_random():
         for _ in range(200):
             a = rng.randrange(1, p)
             f = ring.poly([((1,), a), ((0,), rng.randrange(p))])
-            (h,) = _Reducers(ring, _Packing(ring, [f]), [f]).polys
-            h = h.polynomial()
+            reducers = _Reducers(ring, _Packing(ring, [f]))
+            h = reducers.polynomial(reducers.reducer(reducers.pack(f.terms)).terms)
             assert h.terms[0][1] == 1 and h * ring.constant(a) == f
 
 

@@ -315,9 +315,9 @@ def test_bracket_power_spair_decisions_pinned(monkeypatch, q, spolys, size):
     }[q]
     made = []
 
-    def counted(f, g):
-        made.append((f.packing.unpack(f.lm), g.packing.unpack(g.lm)))
-        return s_polynomial(f, g)
+    def counted(basis, f, g):
+        made.append((basis.packing.unpack(f.lm), basis.packing.unpack(g.lm)))
+        return s_polynomial(basis, f, g)
 
     counts = dict.fromkeys(calls, 0)
 
@@ -394,7 +394,9 @@ def test_first_dividing_lead_matches_brute_force():
                 polys = [ring.poly([(u, rng.randint(1, 4))]) for u in lms]
                 # A packing that fits every m drawn below.
                 packing = _Packing(ring, polys + [ring.poly([((4,) * nvars, 1)])])
-                index = _Reducers(ring, packing, polys)
+                index = _Reducers(ring, packing)
+                for f in polys:
+                    index.add(index.pack(f.terms))
                 for _ in range(20):
                     m = tuple(rng.randint(0, 4) for _ in range(nvars))
                     first = next((i for i, u in enumerate(lms) if all(map(le, u, m))), None)
@@ -478,9 +480,9 @@ def test_lex_reduction_widens_the_fields(monkeypatch):
         widths.append(basis.packing.bits)
         return normal_form(f, basis)
 
-    def counted_spoly(f, g):
-        spolys.append(f.packing.bits)
-        return s_polynomial(f, g)
+    def counted_spoly(basis, f, g):
+        spolys.append(basis.packing.bits)
+        return s_polynomial(basis, f, g)
 
     monkeypatch.setattr(hkcalc.groebner, "normal_form", counted_nf)
     monkeypatch.setattr(hkcalc.groebner, "s_polynomial", counted_spoly)
@@ -519,12 +521,12 @@ def test_s_polynomial_matches_polynomial_arithmetic(monkeypatch):
     reducers, L the lcm of the leading monomials, as Polynomial products."""
     checked = 0
 
-    def checking(f, g):
+    def checking(basis, f, g):
         nonlocal checked
-        s = s_polynomial(f, g)
-        assert s.packing is f.packing is g.packing and all(s.terms.values())
-        unpacked = f.ring.poly((s.packing.unpack(m), c) for m, c in s.terms.items())
-        assert unpacked == s_poly(f.polynomial(), g.polynomial())
+        s = s_polynomial(basis, f, g)
+        assert all(s.values())
+        unpacked = basis.ring.poly((basis.packing.unpack(m), c) for m, c in s.items())
+        assert unpacked == s_poly(basis.polynomial(f.terms), basis.polynomial(g.terms))
         checked += 1
         return s
 

@@ -51,6 +51,14 @@ def test_count_standard_monomials_basics():
     assert count_standard_monomials([(3, 0), (0, 2), (1, 1)], 2) == 4
 
 
+def _random_staircase(rng, bounds, extra):
+    """A pure power of each variable at its bound, then `extra` random
+    monomials inside the box, in that order."""
+    n = len(bounds)
+    gens = [tuple(b if i == j else 0 for i in range(n)) for j, b in enumerate(bounds)]
+    return gens + [tuple(rng.randint(0, b) for b in bounds) for _ in range(extra)]
+
+
 def _rung_staircase(rng, bounds, count):
     """`count` monomials shaped like the leading terms of a Hilbert-Samuel
     rung: a pure power of each variable below its bound, then corners near
@@ -71,10 +79,7 @@ def test_count_standard_monomials_vs_enumeration_random():
     for _ in range(100):
         n = rng.randint(1, 5)
         bounds = tuple(rng.randint(1, 6) for _ in range(n))
-        gens = [tuple(b if i == j else 0 for i in range(n)) for j, b in enumerate(bounds)]
-        for _ in range(rng.randint(0, 4)):
-            gens.append(tuple(rng.randint(0, b) for b in bounds))
-        cases.append((gens, bounds))
+        cases.append((_random_staircase(rng, bounds, rng.randint(0, 4)), bounds))
     # Large planar and three-variable staircases, as ladder rungs make.
     for n, repeats in ((2, 30), (3, 10)):
         for _ in range(repeats):
@@ -93,7 +98,10 @@ def _agrees_with_enumeration(gens):
 
 def test_count_standard_monomials_sweep_edge_cases():
     """Three-variable staircases are counted in one sweep along the last
-    variable; (a, b, c) is a corner (a, b) arriving at level c."""
+    variable; (a, b, c) is a corner (a, b) arriving at level c.  The sweep
+    starts from the box 6 x 5 of the least pure powers of x and y.  Each
+    case is counted again as a two-variable staircase, its last coordinate
+    dropped: the planar staircase of all its corners in one level."""
     pure = [(6, 0, 0), (0, 5, 0), (0, 0, 4)]
     cases = [
         # A corner with the same first coordinate as an existing one, at the
@@ -111,35 +119,82 @@ def test_count_standard_monomials_sweep_edge_cases():
         pure + [(1, 1, 4), (0, 0, 7), (3, 0, 5), (2, 2, 2)],
         # One corner per level, each below the one before.
         pure + [(5, 4, 1), (4, 3, 2), (1, 1, 3)],
+        # Larger pure powers of x and of y beside the least ones, at level 0
+        # and above it.
+        pure + [(9, 0, 0), (0, 8, 0), (7, 0, 2), (0, 6, 1), (3, 2, 1)],
+        # Corners on or right of the box's wall, at or above its top.
+        pure + [(6, 2, 0), (7, 1, 1), (2, 5, 0), (1, 6, 2), (6, 5, 1), (3, 3, 2)],
+        # Pure powers alone, with and without larger ones.
+        pure,
+        pure + [(8, 0, 0), (0, 7, 0), (0, 0, 9)],
     ]
     for gens in cases:
-        _agrees_with_enumeration(gens)
-        rng = random.Random(len(gens))
-        for _ in range(5):
-            rng.shuffle(gens)
-            _agrees_with_enumeration(gens)
+        planar = [m[:2] for m in gens if m[:2] != (0, 0)]
+        for staircase in (gens, planar):
+            _agrees_with_enumeration(staircase)
+            rng = random.Random(len(staircase))
+            for _ in range(5):
+                rng.shuffle(staircase)
+                _agrees_with_enumeration(staircase)
 
 
 def test_count_standard_monomials_slices_down_to_the_sweep(monkeypatch):
-    """Four and five variables are sliced down to three-variable sweeps."""
+    """Two and three variables are counted by the sweep, four and five are
+    sliced down to three-variable sweeps.  A two-variable staircase is one
+    level, at 0, with bound 1."""
     sweeps = []
     sweep = hkcalc.lengths._sweep
 
-    def counted(gens):
-        sweeps.append(gens)
-        return sweep(gens)
+    def counted(levels, bound):
+        sweeps.append((levels, bound))
+        return sweep(levels, bound)
 
     monkeypatch.setattr(hkcalc.lengths, "_sweep", counted)
     rng = random.Random(404)
     for n in (4, 5):
         for _ in range(15):
             bounds = tuple(rng.randint(2, 6) for _ in range(n))
-            gens = [tuple(b if i == j else 0 for i in range(n)) for j, b in enumerate(bounds)]
-            gens += [tuple(rng.randint(0, b) for b in bounds) for _ in range(rng.randint(3, 12))]
+            gens = _random_staircase(rng, bounds, rng.randint(3, 12))
             gens += gens[:2]  # duplicates
             sweeps.clear()
             _agrees_with_enumeration(gens)
-            assert sweeps and all(len(m) == 3 for g in sweeps for m in g)
+            assert sweeps
+            for levels, bound in sweeps:
+                assert levels == sorted(levels) and all(len(m) == 3 and m[0] < bound for m in levels)
+    for n in (2, 3):
+        for _ in range(15):
+            bounds = tuple(rng.randint(2, 6) for _ in range(n))
+            gens = [m for m in _random_staircase(rng, bounds, rng.randint(0, 8)) if any(m)]  # no unit
+            sweeps.clear()
+            _agrees_with_enumeration(gens)
+            assert len(sweeps) == 1
+            levels, bound = sweeps[0]
+            if n == 2:
+                assert bound == 1 and levels == sorted((0,) + m for m in set(gens))
+            else:
+                assert bound == min(c for a, b, c in gens if a == b == 0)
+                assert levels == sorted((c, a, b) for a, b, c in set(gens) if c < bound)
+
+
+# The larger seed set, run by `pytest -m sweep`.
+@pytest.mark.sweep
+@pytest.mark.parametrize("seed", range(100, 120))
+def test_count_standard_monomials_vs_enumeration_more_seeds(seed):
+    """Random staircases in two to four variables, small and rung-shaped."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(60):
+        bounds = tuple(rng.randint(1, 8) for _ in range(rng.randint(2, 4)))
+        gens = _random_staircase(rng, bounds, rng.randint(0, 10))
+        rng.shuffle(gens)
+        cases.append((gens, bounds))
+    for n in (2, 3, 4):
+        for _ in range(4):
+            bounds = tuple(rng.randint(10, 40 if n == 4 else 80) for _ in range(n))
+            cases.append((_rung_staircase(rng, bounds, rng.randint(40, 300)), bounds))
+    for gens, bounds in cases:
+        expected = staircase_enumeration_count(gens, bounds)
+        assert count_standard_monomials(gens, len(bounds)) == expected, gens
 
 
 def test_count_standard_monomials_vs_enumeration_property():
@@ -344,9 +399,9 @@ def test_local_colength_reuses_its_homogenizing_ring(monkeypatch):
     """A repeated non-homogeneous ideal finds its basis cached: no S-pairs."""
     made = []
 
-    def counted(f, g):
+    def counted(basis, f, g):
         made.append((f, g))
-        return s_polynomial(f, g)
+        return s_polynomial(basis, f, g)
 
     monkeypatch.setattr(hkcalc.groebner, "s_polynomial", counted)
     ring = ring_of(5, ("x", "y"))

@@ -11,7 +11,7 @@ from hkcalc import (
     groebner_basis,
     normal_form,
 )
-from hkcalc.poly import PRODUCT_CAP, is_power_of
+from hkcalc.poly import PRODUCT_CAP, require_power_of
 from helpers import poly_of, random_poly, ring_of, s_poly
 
 
@@ -137,7 +137,11 @@ def test_frobenius_rejects_non_powers():
     for bad in (2, 10, 24):
         with pytest.raises(InputError):
             f.frobenius(bad)
-    assert is_power_of(125, 5) and not is_power_of(50, 5) and not is_power_of(0, 5)
+    require_power_of(125, 5)
+    require_power_of(1, 5)
+    for bad in (50, 0, -5):
+        with pytest.raises(InputError, match="^%d is not a power of the characteristic 5$" % bad):
+            require_power_of(bad, 5)
 
 
 def test_var_rejects_out_of_range_index():
